@@ -7,7 +7,8 @@ The public surface groups into:
 * ``parser``: the ``.dlgx`` text format, query files, CSV fact files.
 * ``analysis``: affected/invaded position fixpoints and the shy /
   warded / protected classifiers.
-* ``chase``: four chase variants with deterministic trigger ordering.
+* ``chase``: chase variants (a blocker plus a resumption count) with
+  deterministic trigger ordering.
 * ``query``: conjunctive query evaluation over chased instances and the
   cross-variant differential harness.
 * ``generator`` / ``benchgen``: seeded random programs and synthetic
@@ -42,7 +43,6 @@ from .chase import (
     ChaseVariant,
     NonTerminationRiskError,
     compare_chase_containment,
-    dump_instance,
     exists_homomorphism,
     exists_isomorphic_embedding,
     find_homomorphisms,
@@ -134,7 +134,6 @@ __all__ = [
     "constant",
     "default_resumptions",
     "differential_bcqa",
-    "dump_instance",
     "evaluate_query",
     "exists_homomorphism",
     "exists_isomorphic_embedding",

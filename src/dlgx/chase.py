@@ -1,17 +1,28 @@
-"""Chase execution: trigger enumeration, firing, and the four variants.
+"""Chase execution: trigger enumeration, firing, and the chase variants.
 
-The variants differ only in when a trigger is allowed to fire:
+A variant is a blocker plus a resumption count.  The blocker decides
+when a trigger may fire:
 
-  oblivious  every trigger fires (once); may diverge on recursive
-             existential programs, so it is guarded by a static check
-             unless a step budget is given.
-  pchase     fire only if the instantiated head does not already map
-             homomorphically into the instance (nulls are wildcards,
-             frozen nulls are rigid).
-  pchase-r   pchase to fixpoint, then freeze all nulls and rerun, k times.
-  ichase     fire only if no isomorphic embedding of the instantiated
-             head exists (nulls map bijectively to nulls); like pchase-r
-             it may be given k resumptions.
+  none          every trigger fires (once); may diverge on recursive
+                existential programs, so it is guarded by a static check
+                unless a step budget is given.
+  homomorphism  fire only if the instantiated head does not already map
+                homomorphically into the instance (nulls are wildcards,
+                frozen nulls are rigid).
+  isomorphism   fire only if no isomorphic embedding of the instantiated
+                head exists (nulls map bijectively to nulls).
+
+A resumption freezes every null once the chase reaches a fixpoint and
+runs it again.  The four names users know are combinations of the two:
+
+  name       blocker       resumptions
+  oblivious  none          0
+  pchase     homomorphism  0 unless given
+  pchase-r   homomorphism  1 unless given
+  ichase     isomorphism   0 unless given
+
+so pchase with k resumptions is pchase-r(k), which prints as pchase when
+k is 0.
 
 Triggers are processed level by level: every trigger whose body matches
 the current instance is evaluated before triggers that need facts from
@@ -28,7 +39,6 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .analysis import compute_affected
 from .model import (
     Atom,
-    Constant,
     Instance,
     Null,
     NullFactory,
@@ -38,17 +48,25 @@ from .model import (
     Substitution,
     Term,
     Variable,
-    format_instance,
     format_term,
     freeze_nulls,
     term_sort_key,
 )
 
-OBLIVIOUS = "oblivious"
-PCHASE = "pchase"
-PCHASE_R = "pchase-r"
-ICHASE = "ichase"
-VARIANT_NAMES = (OBLIVIOUS, PCHASE, PCHASE_R, ICHASE)
+HOMOMORPHISM = "homomorphism"
+ISOMORPHISM = "isomorphism"
+
+# name -> (blocker, resumptions when none are given)
+_NAMES: dict[str, tuple[Optional[str], int]] = {
+    "oblivious": (None, 0),
+    "pchase": (HOMOMORPHISM, 0),
+    "pchase-r": (HOMOMORPHISM, 1),
+    "ichase": (ISOMORPHISM, 0),
+}
+VARIANT_NAMES = tuple(_NAMES)
+# (blocker, resumes?) -> name; a resuming variant without a name of its
+# own keeps its blocker's name
+_KINDS = {(blocker, k > 0): name for name, (blocker, k) in _NAMES.items()}
 
 FIXPOINT = "fixpoint"
 STEP_LIMIT = "step-limit-reached"
@@ -60,49 +78,49 @@ class NonTerminationRiskError(Exception):
 
 @dataclass(frozen=True)
 class ChaseVariant:
-    kind: str
+    blocker: Optional[str] = None  # None | "homomorphism" | "isomorphism"
     resumptions: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in VARIANT_NAMES:
-            raise ValueError(f"unknown chase variant {self.kind!r}")
-        if self.resumptions and self.kind not in (PCHASE_R, ICHASE):
-            raise ValueError("only pchase-r and ichase take a resumption count")
+        if self.blocker not in (None, HOMOMORPHISM, ISOMORPHISM):
+            raise ValueError(f"unknown blocker {self.blocker!r}")
         if self.resumptions < 0:
             raise ValueError("resumption count must be >= 0")
+        if self.resumptions and self.blocker is None:
+            raise ValueError("the oblivious chase takes no resumption count")
+
+    @property
+    def kind(self) -> str:
+        """The variant's name without its resumption count."""
+        return _KINDS.get((self.blocker, self.resumptions > 0)) or _KINDS[(self.blocker, False)]
 
     def __str__(self) -> str:
-        if self.kind == PCHASE_R or self.resumptions:
-            return f"{self.kind}({self.resumptions})"
-        return self.kind
+        return f"{self.kind}({self.resumptions})" if self.resumptions else self.kind
 
 
 def oblivious() -> ChaseVariant:
-    return ChaseVariant(OBLIVIOUS)
+    return ChaseVariant()
 
 
 def pchase() -> ChaseVariant:
-    return ChaseVariant(PCHASE)
+    return ChaseVariant(HOMOMORPHISM)
 
 
 def pchase_r(resumptions: int = 1) -> ChaseVariant:
-    return ChaseVariant(PCHASE_R, resumptions)
+    return ChaseVariant(HOMOMORPHISM, resumptions)
 
 
 def ichase(resumptions: int = 0) -> ChaseVariant:
-    return ChaseVariant(ICHASE, resumptions)
+    return ChaseVariant(ISOMORPHISM, resumptions)
 
 
 def parse_variant(name: str, resumptions: Optional[int] = None) -> ChaseVariant:
-    if name not in VARIANT_NAMES:
+    if name not in _NAMES:
         raise ValueError(
             f"unknown chase variant {name!r}; expected one of {', '.join(VARIANT_NAMES)}"
         )
-    if name == PCHASE_R:
-        return ChaseVariant(name, 1 if resumptions is None else resumptions)
-    if resumptions not in (None, 0):
-        raise ValueError(f"variant {name} does not take --resumptions")
-    return ChaseVariant(name)
+    blocker, default = _NAMES[name]
+    return ChaseVariant(blocker, default if resumptions is None else resumptions)
 
 
 # ---------------------------------------------------------------------------
@@ -288,20 +306,6 @@ class Trigger:
         return (self.rule_id, tuple(term_sort_key(t) for _, t in self.bindings))
 
 
-def enumerate_triggers(program: Program, instance: Instance) -> list[Trigger]:
-    """Every (rule, body homomorphism) pair against ``instance``,
-    ascending rule id then lexicographic substitution order."""
-    out: list[Trigger] = []
-    for rule in sorted(program.rules, key=lambda r: r.id):
-        found = [
-            Trigger.from_substitution(rule.id, h)
-            for h in find_homomorphisms(rule.body, instance)
-        ]
-        found.sort(key=Trigger.sort_key)
-        out.extend(found)
-    return out
-
-
 def instantiate_head(
     rule: Rule, trigger: Trigger, fresh: dict[str, Null]
 ) -> list[Atom]:
@@ -389,7 +393,7 @@ class TraceRecord:
     rule: int
     subst: dict[str, Term]
     fired: bool
-    block_reason: Optional[str]  # "homomorphism" | "isomorphism" | "duplicate-trigger"
+    block_reason: Optional[str]  # the blocker, "homomorphism" | "isomorphism"
     level: int
 
     def to_json_dict(self) -> dict:
@@ -444,6 +448,19 @@ def _level_triggers(
     return out
 
 
+def _head_present(
+    blocker: str, rule: Rule, trigger: Trigger, instance: Instance, nulls: NullFactory
+) -> bool:
+    """Does ``blocker`` find the trigger's head, with the nulls it would
+    mint, already in the instance?"""
+    names = sorted(rule.existential_vars)
+    fresh = dict(zip(names, nulls.preview(len(names), instance.active_epoch)))
+    head_image = instantiate_head(rule, trigger, fresh)
+    if blocker == ISOMORPHISM:
+        return exists_isomorphic_embedding(head_image, instance)
+    return exists_homomorphism(head_image, instance, free_nulls=True) is not None
+
+
 def run_chase(
     program: Program,
     variant: ChaseVariant,
@@ -459,8 +476,12 @@ def run_chase(
     True stops before the remaining resumptions.  An epoch that blocks no
     trigger also ends the run: the next epoch would block every trigger
     on that trigger's own output, so it could add nothing.
+
+    Past an epoch's first level, every trigger uses a fact that the level
+    before added, so no trigger comes up twice in one epoch.
     """
-    if variant.kind == OBLIVIOUS and max_steps is None and has_nontermination_risk(program):
+    blocker = variant.blocker
+    if blocker is None and max_steps is None and has_nontermination_risk(program):
         raise NonTerminationRiskError(
             "oblivious chase on a recursive existential program may not "
             "terminate; rerun with a step budget (--max-steps)"
@@ -472,40 +493,22 @@ def run_chase(
     resumptions_used = 0
     status = FIXPOINT
     level = 0
-    out_of_budget = False
 
     for epoch in range(variant.resumptions + 1):
         if epoch > 0:
-            instance = freeze_nulls(instance)
+            freeze_nulls(instance)
             resumptions_used += 1
-        seen: set[Trigger] = set()
         blocked = 0
         delta: Sequence[Atom] = list(instance)
-        while delta and not out_of_budget:
-            triggers = _level_triggers(program, instance, delta)
+        while delta and status == FIXPOINT:
             added: list[Atom] = []
-            for trig in triggers:
-                if trig in seen:
-                    if records is not None:
-                        records.append(
-                            TraceRecord(trig.rule_id, dict(trig.bindings), False, "duplicate-trigger", level)
-                        )
-                    continue
-                seen.add(trig)
+            for trig in _level_triggers(program, instance, delta):
                 rule = program.rule_by_id(trig.rule_id)
-                block: Optional[str] = None
-                if variant.kind != OBLIVIOUS:
-                    names = sorted(rule.existential_vars)
-                    fresh = dict(zip(names, nulls.preview(len(names), instance.active_epoch)))
-                    head_image = instantiate_head(rule, trig, fresh)
-                    if variant.kind == ICHASE:
-                        if exists_isomorphic_embedding(head_image, instance):
-                            block = "isomorphism"
-                    elif exists_homomorphism(head_image, instance, free_nulls=True) is not None:
-                        block = "homomorphism"
+                block = None
+                if blocker is not None and _head_present(blocker, rule, trig, instance, nulls):
+                    block = blocker
                 if block is None and max_steps is not None and fired_steps >= max_steps:
                     status = STEP_LIMIT
-                    out_of_budget = True
                     break
                 if records is not None:
                     records.append(
@@ -518,7 +521,7 @@ def run_chase(
                 fired_steps += 1
             delta = added
             level += 1
-        if out_of_budget:
+        if status != FIXPOINT:
             break
         if on_epoch is not None and on_epoch(instance, epoch):
             break
@@ -532,11 +535,6 @@ def run_chase(
         resumptions_used=resumptions_used,
         trace=records,
     )
-
-
-def dump_instance(instance: Instance) -> str:
-    """Canonical, diff-stable text form of a chase result."""
-    return format_instance(instance)
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,12 @@ from .benchgen import (
 )
 from .chase import (
     FIXPOINT,
+    VARIANT_NAMES,
     NonTerminationRiskError,
-    dump_instance,
     parse_variant,
     run_chase,
 )
-from .model import Program, format_term
+from .model import Program, format_instance, format_term
 from .parser import (
     ParseError,
     load_facts_csv,
@@ -47,7 +47,7 @@ from .parser import (
     print_program,
     print_query,
 )
-from .query import Query, answer_with_variant, differential_bcqa
+from .query import Query, answer_with_variant, default_resumptions, differential_bcqa
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -136,7 +136,7 @@ def cmd_chase(args: argparse.Namespace) -> int:
         with open(args.trace, "w", encoding="utf-8") as fh:
             for record in run.trace:
                 fh.write(json.dumps(record.to_json_dict(), sort_keys=True) + "\n")
-    print(dump_instance(run.result), end="")
+    print(format_instance(run.result), end="")
     if run.status != FIXPOINT:
         print(
             f"status: {run.status} after {run.fired_steps} fired steps",
@@ -174,6 +174,9 @@ def cmd_query(args: argparse.Namespace) -> int:
                     order.append(v.name)
         query = Query(atoms=query.atoms, output_vars=tuple(order))
     variant = parse_variant(args.variant, args.resumptions)
+    if args.resumptions is None and variant.resumptions:
+        # a variant that resumes by default gets the differential harness's budget
+        variant = parse_variant(args.variant, default_resumptions(query))
     answer, _ = answer_with_variant(
         program, query, variant, max_steps=args.max_steps
     )
@@ -213,7 +216,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
         for name in sorted(report.runs):
             run = report.runs[name]
             print(f"instance under {name} ({run.status}):", file=sys.stderr)
-            print(dump_instance(run.result), end="", file=sys.stderr)
+            print(format_instance(run.result), end="", file=sys.stderr)
         return EXIT_DISAGREEMENT
     return EXIT_OK
 
@@ -303,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chase", help="run a chase variant and dump the instance")
     _add_program_flags(p)
-    p.add_argument("--variant", default="pchase", choices=["oblivious", "pchase", "pchase-r", "ichase"])
+    p.add_argument("--variant", default="pchase", choices=VARIANT_NAMES)
     p.add_argument("--max-steps", type=int)
     p.add_argument("--resumptions", type=int)
     p.add_argument("--trace", metavar="PATH", help="write a JSON-lines trigger trace")
@@ -312,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("query", help="answer a conjunctive query")
     _add_program_flags(p)
     p.add_argument("--query", required=True, help="query file (?- ... .)")
-    p.add_argument("--variant", default="pchase", choices=["oblivious", "pchase", "pchase-r", "ichase"])
+    p.add_argument("--variant", default="pchase", choices=VARIANT_NAMES)
     p.add_argument("--max-steps", type=int)
     p.add_argument("--resumptions", type=int)
     p.add_argument("--certain", action="store_true", help="enumerate null-free answer tuples")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 
@@ -53,10 +54,6 @@ def constant(symbol: str) -> Constant:
         c = Constant(symbol)
         _constants[symbol] = c
     return c
-
-
-def variable(name: str) -> Variable:
-    return Variable(name)
 
 
 def term_sort_key(term: Term) -> tuple:
@@ -164,16 +161,6 @@ def apply_substitution(subst: Substitution, atom: Atom) -> Atom:
     return Atom(atom.predicate, out)
 
 
-def compose_substitutions(outer: Substitution, inner: Substitution) -> dict[Term, Term]:
-    """Return the substitution equivalent to applying ``inner`` then ``outer``."""
-    composed: dict[Term, Term] = {}
-    for key, value in inner.items():
-        composed[key] = outer.get(value, value)
-    for key, value in outer.items():
-        composed.setdefault(key, value)
-    return composed
-
-
 @dataclass(frozen=True)
 class Position:
     """A predicate attribute, 1-based: p[2] is the second argument of p."""
@@ -231,9 +218,6 @@ class Rule:
             existential_vars=frozenset(head_vars - body_vars),
         )
 
-    def body_variable_names(self) -> frozenset[str]:
-        return frozenset(v.name for a in self.body for v in a.variables())
-
     def __str__(self) -> str:
         heads = ", ".join(format_atom(a) for a in self.head)
         bodies = ", ".join(format_atom(a) for a in self.body)
@@ -257,9 +241,10 @@ class Program:
                 raise ValueError(f"fact {format_atom(fact)} must contain constants only")
         self.schema  # force arity validation
 
-    @property
+    @cached_property
     def schema(self) -> dict[str, int]:
-        """Predicate -> arity, validated for consistency."""
+        """Predicate -> arity, validated for consistency.  Computed once
+        and shared by every caller, so callers must not change it."""
         schema: dict[str, int] = {}
         for atom in self._all_atoms():
             seen = schema.get(atom.predicate)
@@ -299,13 +284,12 @@ class Instance:
     checks).
     """
 
-    __slots__ = ("_facts", "_by_predicate", "_index", "null_registry", "active_epoch")
+    __slots__ = ("_facts", "_by_predicate", "_index", "active_epoch")
 
     def __init__(self) -> None:
         self._facts: dict[Atom, None] = {}
         self._by_predicate: dict[str, list[Atom]] = {}
         self._index: dict[tuple[str, int, Term], list[Atom]] = {}
-        self.null_registry: set[Null] = set()
         self.active_epoch: int = 0
 
     @classmethod
@@ -323,8 +307,6 @@ class Instance:
         self._by_predicate.setdefault(fact.predicate, []).append(fact)
         for i, t in enumerate(fact.terms):
             self._index.setdefault((fact.predicate, i, t), []).append(fact)
-            if isinstance(t, Null):
-                self.null_registry.add(t)
         return True
 
     def __contains__(self, fact: Atom) -> bool:
@@ -359,25 +341,13 @@ class Instance:
     def is_frozen(self, null: Null) -> bool:
         return null.epoch < self.active_epoch
 
-    def copy(self) -> "Instance":
-        dup = Instance()
-        dup._facts = dict(self._facts)
-        dup._by_predicate = {p: list(fs) for p, fs in self._by_predicate.items()}
-        dup._index = {k: list(fs) for k, fs in self._index.items()}
-        dup.null_registry = set(self.null_registry)
-        dup.active_epoch = self.active_epoch
-        return dup
-
-
-def freeze_nulls(instance: Instance) -> Instance:
-    """Start a new resumption epoch: existing nulls become rigid.
+def freeze_nulls(instance: Instance) -> None:
+    """Start a new resumption epoch in place: existing nulls become rigid.
 
     Facts are unchanged; only the epoch boundary moves, so repeated
     freezing is idempotent with respect to homomorphism behavior.
     """
-    out = instance.copy()
-    out.active_epoch += 1
-    return out
+    instance.active_epoch += 1
 
 
 def format_instance(instance: Instance) -> str:

@@ -6,7 +6,8 @@ Grammar, one statement per '.':
     parent(alice, bob).                    % fact: constants only
     ancestor(X, Y) :- parent(X, Y).        % rule, head on the left
     parent(X, Y) -> ancestor(X, Y).        % same rule, arrow form
-    ?- ancestor(alice, Y).                 % query
+    ?- ancestor(alice, Y).                 % query, in a query file of its own
+    Y                                      % optional last line: output variables
 
 Identifiers starting with an uppercase letter are variables; everything
 else (lowercase-initial, numeric, or double-quoted) is a constant.  Head
@@ -298,7 +299,9 @@ def parse_query(
     schema: Optional[dict[str, int]] = None,
     diagnostics: Optional[list[ParseDiagnostic]] = None,
 ) -> Query:
-    """Parse ``?- atom, ..., atom.``  All variables are existential.
+    """Parse ``?- atom, ..., atom.`` and an optional final line of
+    comma-separated output variables, such as ``P, C``.  Without that
+    line the query is Boolean; every other variable is existential.
 
     With a ``schema``, unknown predicates produce a non-fatal warning
     (appended to ``diagnostics``) and arity mismatches are errors.
@@ -307,11 +310,23 @@ def parse_query(
     parser.expect("QUERY", "'?-'")
     atoms = parser.atom_list()
     parser.expect("PERIOD", "'.'")
+    outputs: list[_Token] = []
+    if parser.peek().kind == "IDENT":
+        outputs.append(parser.next())
+        while parser.peek().kind == "COMMA":
+            parser.next()
+            outputs.append(parser.expect("IDENT", "an output variable"))
     tok = parser.peek()
     if tok.kind != "EOF":
         parser.errors.append(
             ParseDiagnostic("error", f"unexpected input after query: {tok.text!r}", tok.span)
         )
+    names = {v.name for atom, _ in atoms for v in atom.variables()}
+    for tok in outputs:
+        if tok.text not in names:
+            parser.errors.append(
+                ParseDiagnostic("error", f"output variable {tok.text} does not occur in the query", tok.span)
+            )
     if schema is not None:
         for atom, span in atoms:
             expected = schema.get(atom.predicate)
@@ -331,7 +346,7 @@ def parse_query(
                 )
     if parser.errors:
         raise ParseError(parser.errors)
-    return Query(atoms=tuple(a for a, _ in atoms))
+    return Query(atoms=tuple(a for a, _ in atoms), output_vars=tuple(t.text for t in outputs))
 
 
 def print_program(program: Program) -> str:
@@ -342,7 +357,11 @@ def print_program(program: Program) -> str:
 
 
 def print_query(query: Query) -> str:
-    return f"?- {', '.join(format_atom(a) for a in query.atoms)}.\n"
+    """Render a query so that parsing it back yields an equal Query."""
+    text = f"?- {', '.join(format_atom(a) for a in query.atoms)}.\n"
+    if query.output_vars:
+        text += ", ".join(query.output_vars) + "\n"
+    return text
 
 
 def load_facts_csv(

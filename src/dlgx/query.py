@@ -154,17 +154,19 @@ def answer_with_variant(
     resumption per query atom.
     """
     schema = program.schema
-    evaluated: Optional[tuple[Instance, Answer]] = None
+    evaluated: Optional[Answer] = None
 
     def on_epoch(instance: Instance, epoch: int) -> bool:
         nonlocal evaluated
-        evaluated = (instance, evaluate_query(query, instance, schema))
-        return evaluated[1].verdict
+        evaluated = evaluate_query(query, instance, schema)
+        return evaluated.verdict
 
     run = run_chase(program, variant, max_steps=max_steps, trace=trace, on_epoch=on_epoch)
-    if evaluated is not None and evaluated[0] is run.result:
-        answer = evaluated[1]
-    else:  # the step budget ran out mid-epoch
+    # a run at fixpoint ended on an epoch that on_epoch saw; otherwise the
+    # step budget ran out mid-epoch, after the last evaluation
+    if run.status == FIXPOINT and evaluated is not None:
+        answer = evaluated
+    else:
         answer = evaluate_query(query, run.result, schema)
     if (
         not answer.verdict

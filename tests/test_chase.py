@@ -8,9 +8,8 @@ from dlgx.chase import (
     ChaseRun,
     ChaseVariant,
     NonTerminationRiskError,
+    _level_triggers,
     compare_chase_containment,
-    dump_instance,
-    enumerate_triggers,
     exists_homomorphism,
     exists_isomorphic_embedding,
     find_homomorphisms,
@@ -29,6 +28,7 @@ from dlgx.model import (
     Null,
     Variable,
     constant,
+    format_instance,
     freeze_nulls,
 )
 from dlgx.parser import parse_program
@@ -72,13 +72,13 @@ class TestFindHomomorphisms:
 
     def test_frozen_null_is_rigid_even_with_free_nulls(self):
         nu = Null(1, 0)  # epoch 0, so freezing the instance catches it
-        base = Instance.from_facts([atom("q", "a", nu), atom("q", "c", "d")])
-        frozen = freeze_nulls(base)
+        instance = Instance.from_facts([atom("q", "a", nu), atom("q", "c", "d")])
         pattern = [atom("q", "c", nu)]
         # mobile, the null would land on d; frozen, it stays itself
-        assert exists_homomorphism(pattern, base, free_nulls=True) is not None
-        assert exists_homomorphism(pattern, frozen, free_nulls=True) is None
-        assert exists_homomorphism([atom("q", "a", nu)], frozen) is not None
+        assert exists_homomorphism(pattern, instance, free_nulls=True) is not None
+        freeze_nulls(instance)
+        assert exists_homomorphism(pattern, instance, free_nulls=True) is None
+        assert exists_homomorphism([atom("q", "a", nu)], instance) is not None
 
     def test_initial_bindings_are_respected(self):
         target = Instance.from_facts([atom("q", "a", "b"), atom("q", "c", "d")])
@@ -114,13 +114,13 @@ class TestIsomorphicEmbedding:
 
     def test_frozen_nulls_must_match_identically(self):
         n1, n2 = Null(1, 0), Null(2, 0)
-        base = Instance.from_facts([atom("q", "a", n1), atom("q", "b", n2)])
-        frozen = freeze_nulls(base)
-        assert exists_isomorphic_embedding([atom("q", "a", n1)], frozen)
+        instance = Instance.from_facts([atom("q", "a", n1), atom("q", "b", n2)])
+        assert exists_isomorphic_embedding([atom("q", "a", n2)], instance)
+        freeze_nulls(instance)
+        assert exists_isomorphic_embedding([atom("q", "a", n1)], instance)
         # once frozen the two nulls are distinct rigid symbols, not
         # interchangeable renaming targets
-        assert not exists_isomorphic_embedding([atom("q", "a", n2)], frozen)
-        assert exists_isomorphic_embedding([atom("q", "a", n2)], base)
+        assert not exists_isomorphic_embedding([atom("q", "a", n2)], instance)
 
 
 # ---------------------------------------------------------------------------
@@ -142,18 +142,20 @@ def test_parse_variant_rejects_unknown():
 
 
 def test_resumptions_only_for_pchase_r():
+    assert parse_variant("ichase", 2) == ichase(2)
     with pytest.raises(ValueError):
-        parse_variant("ichase", 2)
+        parse_variant("oblivious", 1)
     with pytest.raises(ValueError):
         pchase_r(-1)
 
 
 def test_chase_variant_resumptions_for_pchase_r_and_ichase_only():
-    assert str(ChaseVariant("ichase", 2)) == "ichase(2)"
-    assert ChaseVariant("ichase", 0) == ichase()
-    for kind in ("oblivious", "pchase"):
-        with pytest.raises(ValueError):
-            ChaseVariant(kind, 1)
+    assert str(ichase(2)) == "ichase(2)"
+    assert ichase(0) == ichase()
+    assert parse_variant("pchase", 2) == pchase_r(2)
+    assert str(pchase_r(0)) == "pchase"
+    with pytest.raises(ValueError):
+        ChaseVariant(None, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +255,7 @@ def test_exact_budget_still_reports_fixpoint():
     free = run_chase(program, pchase())
     budgeted = run_chase(program, pchase(), max_steps=free.fired_steps)
     assert budgeted.status == "fixpoint"
-    assert dump_instance(budgeted.result) == dump_instance(free.result)
+    assert format_instance(budgeted.result) == format_instance(free.result)
 
 
 def test_runs_are_deterministic():
@@ -262,7 +264,7 @@ def test_runs_are_deterministic():
         for variant in (pchase(), ichase(), pchase_r(2)):
             a = run_chase(program, variant, max_steps=2000)
             b = run_chase(program, variant, max_steps=2000)
-            assert dump_instance(a.result) == dump_instance(b.result)
+            assert format_instance(a.result) == format_instance(b.result)
             assert a.fired_steps == b.fired_steps
             assert a.status == b.status
 
@@ -272,7 +274,7 @@ def test_trigger_enumeration_is_sorted_and_complete():
         "e(a, b).\ne(b, c).\nt(X, Y) :- e(X, Y)."
     )
     instance = Instance.from_facts(program.facts)
-    triggers = enumerate_triggers(program, instance)
+    triggers = _level_triggers(program, instance, list(instance))
     assert len(triggers) == 2
     keys = [t.sort_key() for t in triggers]
     assert keys == sorted(keys)
@@ -285,18 +287,18 @@ def test_resumption_freezes_then_extends():
     assert len(run0.result) < len(run2.result)
     assert run2.resumptions_used == 2
     # frozen chain facts survive in the final result
-    assert dump_instance(run0.result) != dump_instance(run2.result)
+    assert format_instance(run0.result) != format_instance(run2.result)
 
 
 def test_resumption_stops_after_an_epoch_that_blocks_nothing():
     # q(a, n1) is the only trigger's output and nothing blocks it; a second
     # epoch would block that trigger on its own output and add nothing
     program = parse_program("p(a).\nq(X, Z) :- p(X).")
-    for resumed, plain in ((pchase_r(3), pchase_r(0)), (ChaseVariant("ichase", 3), ichase())):
+    for resumed, plain in ((pchase_r(3), pchase_r(0)), (ichase(3), ichase())):
         run = run_chase(program, resumed, trace=True)
         assert not [r for r in run.trace if r.block_reason in ("homomorphism", "isomorphism")]
         assert run.resumptions_used == 0
-        assert dump_instance(run.result) == dump_instance(run_chase(program, plain).result)
+        assert format_instance(run.result) == format_instance(run_chase(program, plain).result)
 
 
 def test_on_epoch_can_stop_early():
@@ -325,11 +327,12 @@ def test_trace_records_match_schema():
     assert blocked and blocked[0].block_reason == "homomorphism"
 
 
-def test_trace_reports_duplicate_triggers():
+def test_oblivious_trace_blocks_nothing():
     program = parse_program("p(a).\nq(X, Z) :- p(X).")
     run = run_chase(program, oblivious(), max_steps=50, trace=True)
     reasons = {r.block_reason for r in run.trace if not r.fired}
-    assert reasons <= {"duplicate-trigger"}
+    assert reasons == set()
+    assert len(run.trace) == run.fired_steps
 
 
 def test_ichase_blocks_with_isomorphism_reason():
@@ -365,7 +368,7 @@ def test_containment_inconclusive_when_budget_too_small():
 def test_dump_instance_is_sorted_text():
     program = parse_program(BLOCKED_PAIR)
     run = run_chase(program, ichase())
-    text = dump_instance(run.result)
+    text = format_instance(run.result)
     lines = text.strip().splitlines()
     assert lines == sorted(lines)
     assert all(line.endswith(".") for line in lines)

@@ -225,6 +225,16 @@ class TestQuery:
         )
         assert rc == 0
 
+    def test_pchase_r_resumes_once_per_query_atom_by_default(self, tmp_path, capsys):
+        program = write(tmp_path, "chain.dlgx", DEEP_CHAIN)
+        query = write(tmp_path, "q.query", "?- mid2(Q1, Q2), mid2(Q3, Q1), mid2(e, Q3).")
+        for variant in (["pchase-r"], ["ichase", "--resumptions", "3"]):
+            argv = ["query", "--program", program, "--query", query, "--format", "json"]
+            assert main(argv + ["--variant", *variant]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["verdict"] is True
+            assert payload["variant"] == f"{variant[0]}(3)"
+
     def test_certain_enumerates_null_free_rows(self, tmp_path, capsys):
         program = write(tmp_path, "prog.dlgx", "e(a, b).\ne(b, c).\nt(X, Y) :- e(X, Y).")
         query = write(tmp_path, "q.query", "?- t(X, Y).")
@@ -374,6 +384,23 @@ class TestGenerate:
             + ["--query", str(out_dir / "q1.query"), "--variant", "ichase"]
         )
         assert rc == 0
+
+    def test_generated_query_keeps_its_output_variables(self, tmp_path, capsys):
+        out_dir = tmp_path / "scenario"
+        argv = ["generate", "--scenario", "psc", "--persons", "10", "--companies", "10"]
+        assert main(argv + ["--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        facts_args = []
+        for csv_file in sorted(out_dir.glob("*.csv")):
+            facts_args += ["--facts", f"{csv_file.stem}={csv_file}"]
+        rc = main(
+            ["query", "--program", str(out_dir / "psc.dlgx"), *facts_args]
+            + ["--query", str(out_dir / "q1.query"), "--format", "json"]
+        )
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["tuples"]
+        assert all(len(row) == 2 for row in payload["tuples"])
 
     def test_generate_is_deterministic(self, tmp_path):
         dirs = [tmp_path / "a", tmp_path / "b"]

@@ -114,6 +114,12 @@ def test_program_schema_consistency():
         bad.schema  # noqa: B018 - arity clash surfaces on schema access
 
 
+def test_program_schema_is_computed_once():
+    rule = Rule.make(0, [Atom("e", [Variable("X")])], [Atom("i", [Variable("X")])])
+    program = Program(rules=(rule,))
+    assert program.schema is program.schema
+
+
 def test_program_facts_must_be_ground():
     with pytest.raises(ValueError):
         Program(rules=(), facts=(Atom("e", [Variable("X")]),))
@@ -125,12 +131,6 @@ def test_instance_set_semantics():
     assert inst.add(f)
     assert not inst.add(f)
     assert len(inst) == 1
-
-
-def test_instance_null_registry():
-    inst = Instance()
-    inst.add(Atom("p", [Null(1), constant("a")]))
-    assert Null(1) in inst.null_registry
 
 
 def test_instance_candidates_use_most_selective_index():
@@ -147,13 +147,12 @@ def test_instance_candidates_use_most_selective_index():
 def test_freeze_nulls_marks_prior_epochs():
     inst = Instance()
     inst.add(Atom("p", [Null(1, 0)]))
-    frozen = freeze_nulls(inst)
-    assert frozen.active_epoch == 1
-    assert frozen.is_frozen(Null(1, 0))
-    assert not frozen.is_frozen(Null(2, 1))
-    # original untouched
     assert inst.active_epoch == 0
     assert not inst.is_frozen(Null(1, 0))
+    freeze_nulls(inst)
+    assert inst.active_epoch == 1
+    assert inst.is_frozen(Null(1, 0))
+    assert not inst.is_frozen(Null(2, 1))
 
 
 def test_format_instance_is_sorted_and_stable():

@@ -109,6 +109,23 @@ def test_print_round_trip_examples():
 def test_print_query_round_trip():
     q = parse_query("?- e(X, Y), e(Y, c).")
     assert parse_query(print_query(q)).atoms == q.atoms
+    assert parse_query(print_query(q)) == q
+
+
+def test_query_output_variables_round_trip():
+    q = parse_query("?- e(X, Y), e(Y, c).\nY, X\n")
+    assert q.output_vars == ("Y", "X")
+    assert print_query(q) == "?- e(X, Y), e(Y, c).\nY, X\n"
+    assert parse_query(print_query(q)) == q
+
+
+def test_query_output_variable_must_occur_in_query():
+    with pytest.raises(ParseError) as err:
+        parse_query("?- e(X, Y).\nX, Z\n")
+    (diag,) = err.value.diagnostics
+    assert "Z" in diag.message and diag.span.line == 2
+    with pytest.raises(ParseError):
+        parse_query("?- e(X, Y).\nX,\n")
 
 
 def test_print_round_trip_random_programs():

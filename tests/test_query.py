@@ -4,7 +4,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from dlgx.chase import ChaseVariant, ichase, oblivious, pchase, pchase_r, run_chase
+from dlgx.chase import ichase, oblivious, pchase, pchase_r, run_chase
 from dlgx.generator import generate_random_program, generate_random_query
 from dlgx.model import Atom, Instance, Null, Variable, constant
 from dlgx.parser import parse_program, parse_query
@@ -136,6 +136,15 @@ class TestAnswerWithVariant:
         assert ans.verdict is True
         # true after the first resumption; the other four never run
         assert run.resumptions_used == 1
+
+    def test_budget_spent_in_a_resumption_reevaluates_the_query(self):
+        # epoch 0 ends false; epoch 1 adds n(n1) on the second step and then
+        # runs out of budget, so the answer must come from the final instance
+        program = parse_program(TWO_PATH)
+        query = q("?- n(X), e(X, Y), n(Y).", program)
+        ans, run = answer_with_variant(program, query, pchase_r(1), max_steps=2)
+        assert run.status == "step-limit-reached" and run.resumptions_used == 1
+        assert ans.verdict is True
 
     def test_two_path_variants_disagree_below_resumption(self):
         program = parse_program(TWO_PATH)
@@ -304,7 +313,7 @@ def test_plain_ichase_false_on_recursive_program_warns():
     # no warning once the answer is true, or under a variant with resumptions
     true_answer, _ = answer_with_variant(program, q("?- mid2(e, Q).", program), ichase())
     assert true_answer.verdict is True and true_answer.warnings == []
-    resumed, _ = answer_with_variant(program, query, ChaseVariant("ichase", 1))
+    resumed, _ = answer_with_variant(program, query, ichase(1))
     assert resumed.warnings == []
     # an unknown predicate is false under every variant; only that is said
     ghost, _ = answer_with_variant(

@@ -26,6 +26,7 @@ from .analysis import (
     classify_variables,
     compute_affected,
     compute_invaded,
+    harmful_joins,
 )
 from .benchgen import (
     BenchResult,
@@ -145,6 +146,7 @@ __all__ = [
     "generate_random_program",
     "generate_random_query",
     "generate_scenario",
+    "harmful_joins",
     "ichase",
     "load_facts_csv",
     "oblivious",

@@ -18,7 +18,7 @@ A non-harmless variable that also occurs in the head is *dangerous*.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .model import (
     Atom,
@@ -28,6 +28,9 @@ from .model import (
     Rule,
     Variable,
 )
+
+if TYPE_CHECKING:
+    from .query import Query
 
 HARMLESS = "harmless"
 PROTECTED_HARMFUL = "protected-harmful"
@@ -123,9 +126,9 @@ class AnalysisReport:
         }
 
 
-def _body_occurrences(rule: Rule) -> dict[str, list[tuple[int, Position]]]:
+def _body_occurrences(body: Sequence[Atom]) -> dict[str, list[tuple[int, Position]]]:
     occ: dict[str, list[tuple[int, Position]]] = {}
-    for atom_index, atom in enumerate(rule.body):
+    for atom_index, atom in enumerate(body):
         for i, t in enumerate(atom.terms):
             if isinstance(t, Variable):
                 occ.setdefault(t.name, []).append(
@@ -146,7 +149,7 @@ def compute_affected(program: Program) -> frozenset[Position]:
     while changed:
         changed = False
         for rule in program.rules:
-            occ = _body_occurrences(rule)
+            occ = _body_occurrences(rule.body)
             for atom in rule.head:
                 for i, t in enumerate(atom.terms):
                     if not isinstance(t, Variable) or t.name not in rule.frontier:
@@ -158,6 +161,31 @@ def compute_affected(program: Program) -> frozenset[Position]:
                             affected.add(pos)
                             changed = True
     return frozenset(affected)
+
+
+def harmful_joins(
+    program: Program, query: Optional["Query"] = None
+) -> list[tuple[Optional[int], str]]:
+    """Body variables that occur at least twice, every occurrence at an
+    affected position, as (rule id, name) pairs; the query, read as the
+    rule ``ans(outputs) :- body``, has rule id None.
+
+    Isomorphism-based blocking is exact only without harmful joins (the
+    Vadalog system eliminates them by rewriting first): a join on nulls
+    can need two null chains that the renaming blocker folds into one.
+    """
+    affected = compute_affected(program)
+    bodies: list[tuple[Optional[int], Sequence[Atom]]] = [
+        (rule.id, rule.body) for rule in program.rules
+    ]
+    if query is not None:
+        bodies.append((None, query.atoms))
+    return [
+        (rule_id, name)
+        for rule_id, body in bodies
+        for name, occurrences in _body_occurrences(body).items()
+        if len(occurrences) > 1 and all(p in affected for _, p in occurrences)
+    ]
 
 
 def compute_invaded(program: Program) -> dict[Position, frozenset[ExistentialVarId]]:
@@ -179,7 +207,7 @@ def compute_invaded(program: Program) -> dict[Position, frozenset[ExistentialVar
     while changed:
         changed = False
         for rule in program.rules:
-            occ = _body_occurrences(rule)
+            occ = _body_occurrences(rule.body)
             for atom in rule.head:
                 for i, t in enumerate(atom.terms):
                     if not isinstance(t, Variable) or t.name not in rule.frontier:
@@ -205,7 +233,7 @@ def classify_variables(
         invaded = compute_invaded(program)
     out = []
     for rule in program.rules:
-        occ = _body_occurrences(rule)
+        occ = _body_occurrences(rule.body)
         head_vars = {v.name for a in rule.head for v in a.variables()}
         infos: dict[str, VariableInfo] = {}
         for name, occurrences in occ.items():
@@ -353,11 +381,17 @@ def check_warded(
 
 
 def check_protected(
-    program: Program, classifications: Optional[list[RuleClassification]] = None
+    program: Program,
+    classifications: Optional[list[RuleClassification]] = None,
+    *,
+    shy: Optional[tuple[bool, list[Violation]]] = None,
+    warded: Optional[tuple[bool, list[Violation]]] = None,
 ) -> tuple[bool, list[Violation]]:
     """Direct protected check: no attacked-harmful join variables (P1) and
     warded (P2).  Cross-checked against shy-and-warded; a mismatch means
     the analysis itself is broken and raises InternalInconsistencyError.
+    ``shy`` and ``warded`` take results of :func:`check_shy` and
+    :func:`check_warded` already computed over the same classifications.
     """
     if classifications is None:
         classifications = classify_variables(program)
@@ -379,7 +413,9 @@ def check_protected(
                         ),
                     )
                 )
-    warded_ok, warded_violations = check_warded(program, classifications)
+    if warded is None:
+        warded = check_warded(program, classifications)
+    warded_ok, warded_violations = warded
     if not warded_ok:
         for wv in warded_violations:
             violations.append(
@@ -392,7 +428,9 @@ def check_protected(
             )
     verdict = not violations
 
-    shy_ok, _ = check_shy(program, classifications)
+    if shy is None:
+        shy = check_shy(program, classifications)
+    shy_ok = shy[0]
     if verdict != (shy_ok and warded_ok):
         raise InternalInconsistencyError(
             f"protected={verdict} but shy={shy_ok} and warded={warded_ok}; "
@@ -411,9 +449,12 @@ def analyze(program: Program) -> AnalysisReport:
                 f"position {pos} is invaded but not affected"
             )
     classifications = classify_variables(program, affected, invaded)
-    shy_ok, shy_violations = check_shy(program, classifications)
-    warded_ok, warded_violations = check_warded(program, classifications)
-    protected_ok, protected_violations = check_protected(program, classifications)
+    shy = check_shy(program, classifications)
+    warded = check_warded(program, classifications)
+    protected_ok, protected_violations = check_protected(
+        program, classifications, shy=shy, warded=warded
+    )
+    (shy_ok, shy_violations), (warded_ok, warded_violations) = shy, warded
     violations = sorted(
         shy_violations + warded_violations + protected_violations,
         key=lambda v: (v.rule_id, v.condition, v.variables),

@@ -30,10 +30,22 @@ the next level.  Within a level, evaluation order is ascending rule id,
 then lexicographic substitution order, which makes runs deterministic.
 Blocking conditions are tested against the instance as it exists at the
 moment the trigger is evaluated.
+
+Each rule is compiled once into a :class:`RulePlan`.  Its body variables
+become slots in sorted-name order, so a trigger is just ``(rule id,
+values)``.  For each body atom taken as the pivot (matched against the
+level's new facts), the plan holds a fixed join order over the other
+body atoms; each step says, per position, whether it checks a constant,
+checks a slot bound earlier, binds a new slot, or repeats a slot bound
+earlier in the same atom, and its bound positions select the index row
+to scan.  A head template builds the instantiated head from the values,
+the nulls the trigger would mint and the head's constants; the blocker
+checks that head, and firing adds the same atoms.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .analysis import compute_affected
@@ -126,41 +138,87 @@ def parse_variant(name: str, resumptions: Optional[int] = None) -> ChaseVariant:
 # ---------------------------------------------------------------------------
 # Homomorphism search
 
-
-def _match_atom(
-    atom: Atom,
-    fact: Atom,
-    subst: dict[Term, Term],
-    is_mobile: Callable[[Term], bool],
-) -> Optional[dict[Term, Term]]:
-    """Bindings needed to map ``atom`` onto ``fact``, or None if impossible."""
-    updates: dict[Term, Term] = {}
-    for t, f in zip(atom.terms, fact.terms):
-        if is_mobile(t):
-            bound = subst.get(t)
-            if bound is None:
-                bound = updates.get(t)
-            if bound is None:
-                updates[t] = f
-            elif bound != f:
-                return None
-        elif t != f:
-            return None
-    return updates
+# An atom's shape: (position, term, mobile?) per term, where a mobile term
+# (a variable, or a null the search may remap) can bind and a rigid one
+# must match exactly.  The searches below are module-level recursions, not
+# closures, so a finished search leaves no reference cycle for the garbage
+# collector.
+Shape = tuple[tuple[int, Term, bool], ...]
 
 
-def _bound_positions(
-    atom: Atom, subst: dict[Term, Term], is_mobile: Callable[[Term], bool]
-) -> list[tuple[int, Term]]:
+def _shape(atom: Atom, target: Instance, variables: bool, nulls: bool) -> Shape:
+    """Variables are mobile if ``variables``; unfrozen nulls if ``nulls``."""
+    return tuple([
+        (
+            i,
+            t,
+            (variables and isinstance(t, Variable))
+            or (nulls and isinstance(t, Null) and not target.is_frozen(t)),
+        )
+        for i, t in enumerate(atom.terms)
+    ])
+
+
+def _bound_positions(shape: Shape, subst: dict[Term, Term]) -> list[tuple[int, Term]]:
     out = []
-    for i, t in enumerate(atom.terms):
-        if is_mobile(t):
+    for i, t, mobile in shape:
+        if mobile:
             v = subst.get(t)
             if v is not None:
                 out.append((i, v))
         else:
             out.append((i, t))
     return out
+
+
+def _match(shape: Shape, fact: Atom, subst: dict[Term, Term]) -> Optional[dict[Term, Term]]:
+    """Bindings needed to map an atom of this shape onto ``fact``, or None."""
+    terms = fact.terms
+    updates: dict[Term, Term] = {}
+    for i, t, mobile in shape:
+        f = terms[i]
+        if mobile:
+            bound = subst.get(t)
+            if bound is None:
+                bound = updates.get(t)
+            if bound is None:
+                updates[t] = f
+            elif bound is not f and bound != f:
+                return None
+        elif t is not f and t != f:
+            return None
+    return updates
+
+
+def _homomorphisms(
+    atoms: list[tuple[str, Shape]],
+    used: list[bool],
+    subst: dict[Term, Term],
+    target: Instance,
+    k: int,
+) -> Iterator[dict[Term, Term]]:
+    if k == len(atoms):
+        yield dict(subst)
+        return
+    # most selective atom under the current bindings, ties by position
+    best = -1
+    cands: list[Atom] = []
+    for i, (predicate, shape) in enumerate(atoms):
+        if not used[i]:
+            rows = target.candidates(predicate, _bound_positions(shape, subst))
+            if best < 0 or len(rows) < len(cands):
+                best, cands = i, rows
+    shape = atoms[best][1]
+    used[best] = True
+    for fact in cands:
+        updates = _match(shape, fact, subst)
+        if updates is None:
+            continue
+        subst.update(updates)
+        yield from _homomorphisms(atoms, used, subst, target, k + 1)
+        for key in updates:
+            del subst[key]
+    used[best] = False
 
 
 def find_homomorphisms(
@@ -177,50 +235,9 @@ def find_homomorphisms(
     nulls); frozen nulls and constants are rigid.  Enumeration is a
     deterministic backtracking join, most selective relation first.
     """
-    atoms = list(pattern)
-    n = len(atoms)
-
-    def is_mobile(t: Term) -> bool:
-        if isinstance(t, Variable):
-            return True
-        return free_nulls and isinstance(t, Null) and not target.is_frozen(t)
-
+    atoms = [(atom.predicate, _shape(atom, target, True, free_nulls)) for atom in pattern]
     subst: dict[Term, Term] = dict(initial) if initial else {}
-    used = [False] * n
-
-    def pick() -> tuple[int, list[Atom]]:
-        # most selective atom under the current bindings, ties by position
-        best = -1
-        best_cands: list[Atom] = []
-        best_cost = -1
-        for i in range(n):
-            if used[i]:
-                continue
-            cands = target.candidates(
-                atoms[i].predicate, _bound_positions(atoms[i], subst, is_mobile)
-            )
-            if best < 0 or len(cands) < best_cost:
-                best, best_cands, best_cost = i, cands, len(cands)
-        return best, best_cands
-
-    def extend(k: int) -> Iterator[dict[Term, Term]]:
-        if k == n:
-            yield dict(subst)
-            return
-        i, cands = pick()
-        atom = atoms[i]
-        used[i] = True
-        for fact in cands:
-            updates = _match_atom(atom, fact, subst, is_mobile)
-            if updates is None:
-                continue
-            subst.update(updates)
-            yield from extend(k + 1)
-            for key in updates:
-                del subst[key]
-        used[i] = False
-
-    return extend(0)
+    return _homomorphisms(atoms, [False] * len(atoms), subst, target, 0)
 
 
 def exists_homomorphism(
@@ -236,6 +253,35 @@ def exists_homomorphism(
     )
 
 
+def _embeds(
+    shapes: list[tuple[str, Shape]],
+    k: int,
+    subst: dict[Term, Term],
+    used: set[Term],
+    target: Instance,
+) -> bool:
+    if k == len(shapes):
+        return True
+    predicate, shape = shapes[k]
+    for fact in target.candidates(predicate, _bound_positions(shape, subst)):
+        updates = _match(shape, fact, subst)
+        if updates is None:
+            continue
+        images = list(updates.values())
+        if any(not isinstance(v, Null) for v in images):
+            continue
+        if any(v in used for v in images) or len(set(images)) != len(images):
+            continue
+        subst.update(updates)
+        used.update(images)
+        if _embeds(shapes, k + 1, subst, used, target):
+            return True
+        for key, value in updates.items():
+            del subst[key]
+            used.discard(value)
+    return False
+
+
 def exists_isomorphic_embedding(fact_set: Sequence[Atom], target: Instance) -> bool:
     """Is some subset of ``target`` an isomorphic copy of ``fact_set``?
 
@@ -243,99 +289,178 @@ def exists_isomorphic_embedding(fact_set: Sequence[Atom], target: Instance) -> b
     injective null-to-null assignment, so its inverse is a homomorphism
     from the image back onto ``fact_set``.
     """
-    atoms = list(fact_set)
-
-    def is_mobile(t: Term) -> bool:
-        return isinstance(t, Null) and not target.is_frozen(t)
-
-    order = sorted(
-        range(len(atoms)),
-        key=lambda i: (len(target.facts_for(atoms[i].predicate)), i),
-    )
-    subst: dict[Term, Term] = {}
-    used: set[Term] = set()
-
-    def extend(k: int) -> bool:
-        if k == len(order):
-            return True
-        atom = atoms[order[k]]
-        for fact in target.candidates(atom.predicate, _bound_positions(atom, subst, is_mobile)):
-            updates = _match_atom(atom, fact, subst, is_mobile)
-            if updates is None:
-                continue
-            images = list(updates.values())
-            if any(not isinstance(v, Null) for v in images):
-                continue
-            if any(v in used for v in images) or len(set(images)) != len(images):
-                continue
-            subst.update(updates)
-            used.update(images)
-            if extend(k + 1):
-                return True
-            for key, value in updates.items():
-                del subst[key]
-                used.discard(value)
-        return False
-
-    return extend(0)
+    atoms = sorted(fact_set, key=lambda a: len(target.facts_for(a.predicate)))
+    shapes = [(atom.predicate, _shape(atom, target, False, True)) for atom in atoms]
+    return _embeds(shapes, 0, {}, set(), target)
 
 
 # ---------------------------------------------------------------------------
-# Triggers
+# Compiled rules
+#
+# A trigger is a pair (rule id, values): the images of the rule's body
+# variables, one per slot, with slots in sorted variable-name order.
+Trigger = tuple[int, tuple[Term, ...]]
+
+# One step of a join: (predicate, keys, binds, checks).
+#   keys    (position, slot, constant) for each position fixed before the
+#           step is reached, by a rule constant (slot -1) or by a slot an
+#           earlier step bound; the shortest index row among them gives
+#           the candidate facts
+#   binds   (position, slot) for the first occurrence of a variable
+#   checks  (position, slot, constant) that the candidate facts must also
+#           match: a repeat of a slot bound earlier in the same atom, and
+#           every key when there is more than one
+Step = tuple[str, tuple, tuple, tuple]
 
 
 @dataclass(frozen=True)
-class Trigger:
-    """A rule paired with a body homomorphism, in canonical hashable form."""
+class RulePlan:
+    """A rule compiled once for trigger enumeration and firing.
+
+    ``joins[p]`` enumerates the rule's body with body atom ``p`` as the
+    pivot: its first step matches the pivot against one fact (constants
+    and repeated variables become checks), the rest visit the other body
+    atoms in a fixed order, most bound positions first.  ``head`` gives,
+    per head atom, an index into the environment ``values + fresh nulls +
+    head constants``: a slot, an existential (in sorted-name order, as the
+    null factory mints them) or a constant.
+    """
 
     rule_id: int
-    bindings: tuple[tuple[str, Term], ...]  # sorted by variable name
+    slots: tuple[str, ...]
+    joins: tuple[tuple[Step, ...], ...]
+    head: tuple[tuple[str, tuple[int, ...]], ...]
+    fresh: int
+    constants: tuple[Term, ...]
 
-    @staticmethod
-    def from_substitution(rule_id: int, subst: Substitution) -> "Trigger":
-        items = sorted(
-            ((v.name, t) for v, t in subst.items() if isinstance(v, Variable)),
-            key=lambda kv: kv[0],
+    def instantiate(self, values: tuple[Term, ...], nulls: Sequence[Null]) -> list[Atom]:
+        env = (*values, *nulls, *self.constants)
+        return [Atom(predicate, [env[i] for i in terms]) for predicate, terms in self.head]
+
+
+def _compile_step(atom: Atom, slot_of: dict[str, int], bound: set[int], pivot: bool) -> Step:
+    keys, binds, checks = [], [], []
+    for pos, t in enumerate(atom.terms):
+        if not isinstance(t, Variable):
+            (checks if pivot else keys).append((pos, -1, t))
+            continue
+        slot = slot_of[t.name]
+        if slot in bound:
+            keys.append((pos, slot, None))
+        elif any(s == slot for _, s in binds):
+            checks.append((pos, slot, None))
+        else:
+            binds.append((pos, slot))
+    bound.update(s for _, s in binds)
+    if len(keys) > 1:
+        checks.extend(keys)
+    return (atom.predicate, tuple(keys), tuple(binds), tuple(checks))
+
+
+def _join_order(rule: Rule, pivot: int) -> list[int]:
+    """The other body atoms, each next one the atom with the most positions
+    fixed by constants and by variables already bound; ties by index."""
+    bound = {v.name for v in rule.body[pivot].variables()}
+    rest = [i for i in range(len(rule.body)) if i != pivot]
+    order = []
+    while rest:
+        best = max(
+            rest,
+            key=lambda i: (
+                sum(not isinstance(t, Variable) or t.name in bound for t in rule.body[i].terms),
+                -i,
+            ),
         )
-        return Trigger(rule_id, tuple(items))
-
-    def substitution(self) -> dict[Term, Term]:
-        return {Variable(name): term for name, term in self.bindings}
-
-    def sort_key(self) -> tuple:
-        return (self.rule_id, tuple(term_sort_key(t) for _, t in self.bindings))
+        rest.remove(best)
+        order.append(best)
+        bound.update(v.name for v in rule.body[best].variables())
+    return order
 
 
-def instantiate_head(
-    rule: Rule, trigger: Trigger, fresh: dict[str, Null]
-) -> list[Atom]:
-    """The head atoms of ``rule`` under the trigger's substitution, with
-    ``fresh`` supplying one shared null per existential variable."""
-    mapping: dict[Term, Term] = dict(trigger.substitution())
-    for name, null in fresh.items():
-        mapping[Variable(name)] = null
-    out = []
+@lru_cache(maxsize=1024)
+def compile_rule(rule: Rule) -> RulePlan:
+    slots = tuple(sorted({v.name for a in rule.body for v in a.variables()}))
+    slot_of = {name: i for i, name in enumerate(slots)}
+    joins = []
+    for pivot in range(len(rule.body)):
+        bound: set[int] = set()
+        steps = [_compile_step(rule.body[pivot], slot_of, bound, pivot=True)]
+        for i in _join_order(rule, pivot):
+            steps.append(_compile_step(rule.body[i], slot_of, bound, pivot=False))
+        joins.append(tuple(steps))
+    existentials = sorted(rule.existential_vars)
+    env = dict(slot_of)
+    env.update((name, len(slots) + j) for j, name in enumerate(existentials))
+    constants: list[Term] = []
+    head = []
     for atom in rule.head:
-        out.append(
-            Atom(
-                atom.predicate,
-                [mapping[t] if isinstance(t, Variable) else t for t in atom.terms],
-            )
-        )
-    return out
+        terms = []
+        for t in atom.terms:
+            if isinstance(t, Variable):
+                terms.append(env[t.name])
+            else:
+                terms.append(len(env) + len(constants))
+                constants.append(t)
+        head.append((atom.predicate, tuple(terms)))
+    return RulePlan(
+        rule.id, slots, tuple(joins), tuple(head), len(existentials), tuple(constants)
+    )
+
+
+def _rows(step: Step, values: list, instance: Instance) -> list[Atom]:
+    """Candidate facts for a join step, from the shortest index row its
+    keys select, or every fact of its predicate when no key fixes it."""
+    predicate, keys = step[0], step[1]
+    rows: Optional[list[Atom]] = None
+    for pos, slot, const in keys:
+        row = instance.index.get((predicate, pos, const if slot < 0 else values[slot]))
+        if row is None:
+            return []
+        if rows is None or len(row) < len(rows):
+            rows = row
+    return instance.facts_for(predicate) if rows is None else rows
+
+
+def _extend(
+    steps: Sequence[Step],
+    k: int,
+    rows: Sequence[Atom],
+    values: list,
+    instance: Instance,
+    found: set[tuple[Term, ...]],
+) -> None:
+    """Match join step ``k`` against ``rows`` and run the steps after it,
+    adding the values of every full match to ``found``."""
+    binds, checks = steps[k][2], steps[k][3]
+    last = k + 1 == len(steps)
+    for fact in rows:
+        terms = fact.terms
+        for pos, slot in binds:
+            values[slot] = terms[pos]
+        for pos, slot, const in checks:
+            want = const if slot < 0 else values[slot]
+            t = terms[pos]
+            if t is not want and t != want:
+                break
+        else:
+            if last:
+                found.add(tuple(values))
+            else:
+                rows_next = _rows(steps[k + 1], values, instance)
+                _extend(steps, k + 1, rows_next, values, instance, found)
+
+
+def _sort_key(values: tuple[Term, ...]) -> tuple:
+    return tuple(map(term_sort_key, values))
 
 
 def fire_trigger(
-    rule: Rule, trigger: Trigger, instance: Instance, nulls: NullFactory
+    head: Sequence[Atom], instance: Instance, nulls: NullFactory, fresh: int
 ) -> list[Atom]:
-    """Apply the trigger: extend the instance, returning the new facts."""
-    names = sorted(rule.existential_vars)
-    fresh = dict(zip(names, nulls.take(len(names), instance.active_epoch)))
-    added = []
-    for fact in instantiate_head(rule, trigger, fresh):
-        if instance.add(fact):
-            added.append(fact)
-    return added
+    """Apply a trigger: add its instantiated head, which used the next
+    ``fresh`` nulls of ``nulls``, and return the facts that were new."""
+    nulls.counter += fresh
+    return [fact for fact in head if instance.add(fact)]
 
 
 # ---------------------------------------------------------------------------
@@ -419,46 +544,21 @@ class ChaseRun:
 def _level_triggers(
     program: Program, instance: Instance, delta: Sequence[Atom]
 ) -> list[Trigger]:
-    """Triggers whose body maps into ``instance`` using >= 1 delta fact."""
+    """Triggers whose body maps into ``instance`` using >= 1 delta fact,
+    sorted by rule id, then by the term order of their values."""
     delta_by_pred: dict[str, list[Atom]] = {}
     for f in delta:
         delta_by_pred.setdefault(f.predicate, []).append(f)
-    found: set[Trigger] = set()
     out: list[Trigger] = []
-
-    def var_mobile(t: Term) -> bool:
-        return isinstance(t, Variable)
-
-    for rule in program.rules:
-        for pivot_index, pivot in enumerate(rule.body):
-            pivot_facts = delta_by_pred.get(pivot.predicate)
-            if not pivot_facts:
-                continue
-            rest = [a for i, a in enumerate(rule.body) if i != pivot_index]
-            for fact in pivot_facts:
-                seed = _match_atom(pivot, fact, {}, var_mobile)
-                if seed is None:
-                    continue
-                for hom in find_homomorphisms(rest, instance, initial=seed):
-                    trig = Trigger.from_substitution(rule.id, hom)
-                    if trig not in found:
-                        found.add(trig)
-                        out.append(trig)
-    out.sort(key=Trigger.sort_key)
+    for plan in sorted(map(compile_rule, program.rules), key=lambda p: p.rule_id):
+        found: set[tuple[Term, ...]] = set()
+        values: list = [None] * len(plan.slots)
+        for steps in plan.joins:
+            pivot_facts = delta_by_pred.get(steps[0][0])
+            if pivot_facts:
+                _extend(steps, 0, pivot_facts, values, instance, found)
+        out.extend((plan.rule_id, vs) for vs in sorted(found, key=_sort_key))
     return out
-
-
-def _head_present(
-    blocker: str, rule: Rule, trigger: Trigger, instance: Instance, nulls: NullFactory
-) -> bool:
-    """Does ``blocker`` find the trigger's head, with the nulls it would
-    mint, already in the instance?"""
-    names = sorted(rule.existential_vars)
-    fresh = dict(zip(names, nulls.preview(len(names), instance.active_epoch)))
-    head_image = instantiate_head(rule, trigger, fresh)
-    if blocker == ISOMORPHISM:
-        return exists_isomorphic_embedding(head_image, instance)
-    return exists_homomorphism(head_image, instance, free_nulls=True) is not None
 
 
 def run_chase(
@@ -486,6 +586,7 @@ def run_chase(
             "oblivious chase on a recursive existential program may not "
             "terminate; rerun with a step budget (--max-steps)"
         )
+    plans = {rule.id: compile_rule(rule) for rule in program.rules}
     instance = Instance.from_facts(program.facts)
     nulls = NullFactory()
     records: Optional[list[TraceRecord]] = [] if trace else None
@@ -502,22 +603,29 @@ def run_chase(
         delta: Sequence[Atom] = list(instance)
         while delta and status == FIXPOINT:
             added: list[Atom] = []
-            for trig in _level_triggers(program, instance, delta):
-                rule = program.rule_by_id(trig.rule_id)
+            for rule_id, values in _level_triggers(program, instance, delta):
+                plan = plans[rule_id]
+                head = plan.instantiate(values, nulls.preview(plan.fresh, instance.active_epoch))
                 block = None
-                if blocker is not None and _head_present(blocker, rule, trig, instance, nulls):
-                    block = blocker
+                if blocker == ISOMORPHISM:
+                    if exists_isomorphic_embedding(head, instance):
+                        block = blocker
+                elif blocker is not None:
+                    if exists_homomorphism(head, instance, free_nulls=True) is not None:
+                        block = blocker
                 if block is None and max_steps is not None and fired_steps >= max_steps:
                     status = STEP_LIMIT
                     break
                 if records is not None:
                     records.append(
-                        TraceRecord(trig.rule_id, dict(trig.bindings), block is None, block, level)
+                        TraceRecord(
+                            rule_id, dict(zip(plan.slots, values)), block is None, block, level
+                        )
                     )
                 if block is not None:
                     blocked += 1
                     continue
-                added.extend(fire_trigger(rule, trig, instance, nulls))
+                added.extend(fire_trigger(head, instance, nulls, plan.fresh))
                 fired_steps += 1
             delta = added
             level += 1

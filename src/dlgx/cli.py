@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .analysis import AnalysisReport, analyze
+from .analysis import AnalysisReport, analyze, harmful_joins
 from .benchgen import (
     ScenarioSpec,
     generate_scenario,
@@ -33,6 +33,7 @@ from .benchgen import (
 )
 from .chase import (
     FIXPOINT,
+    ISOMORPHISM,
     VARIANT_NAMES,
     NonTerminationRiskError,
     parse_variant,
@@ -174,8 +175,12 @@ def cmd_query(args: argparse.Namespace) -> int:
                     order.append(v.name)
         query = Query(atoms=query.atoms, output_vars=tuple(order))
     variant = parse_variant(args.variant, args.resumptions)
-    if args.resumptions is None and variant.resumptions:
-        # a variant that resumes by default gets the differential harness's budget
+    if args.resumptions is None and (
+        variant.resumptions
+        or (variant.blocker == ISOMORPHISM and harmful_joins(program, query))
+    ):
+        # a variant that resumes by default, and ichase where a harmful join
+        # can make plain ichase miss answers, get the differential harness's budget
         variant = parse_variant(args.variant, default_resumptions(query))
     answer, _ = answer_with_variant(
         program, query, variant, max_steps=args.max_steps

@@ -13,10 +13,6 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 
-class UnboundVariableError(Exception):
-    """A substitution was applied to an atom with an unmapped variable."""
-
-
 @dataclass(frozen=True, slots=True)
 class Constant:
     symbol: str
@@ -139,28 +135,6 @@ def format_atom(atom: Atom) -> str:
 Substitution = Mapping[Term, Term]
 
 
-def apply_substitution(subst: Substitution, atom: Atom) -> Atom:
-    """Instantiate ``atom`` under ``subst``.
-
-    Every variable of the atom must be in the domain of the substitution;
-    nulls map to themselves unless explicitly remapped.
-    """
-    out = []
-    for t in atom.terms:
-        if isinstance(t, Constant):
-            out.append(t)
-        elif isinstance(t, Variable):
-            try:
-                out.append(subst[t])
-            except KeyError:
-                raise UnboundVariableError(
-                    f"variable {t.name} of {format_atom(atom)} is not bound"
-                ) from None
-        else:
-            out.append(subst.get(t, t))
-    return Atom(atom.predicate, out)
-
-
 @dataclass(frozen=True)
 class Position:
     """A predicate attribute, 1-based: p[2] is the second argument of p."""
@@ -262,12 +236,6 @@ class Program:
             yield from rule.head
         yield from self.facts
 
-    def rule_by_id(self, rule_id: int) -> Rule:
-        for rule in self.rules:
-            if rule.id == rule_id:
-                return rule
-        raise KeyError(rule_id)
-
     def with_facts(self, extra: Iterable[Atom]) -> "Program":
         return Program(rules=self.rules, facts=self.facts + tuple(extra))
 
@@ -284,12 +252,14 @@ class Instance:
     checks).
     """
 
-    __slots__ = ("_facts", "_by_predicate", "_index", "active_epoch")
+    __slots__ = ("_facts", "_by_predicate", "index", "active_epoch")
 
     def __init__(self) -> None:
         self._facts: dict[Atom, None] = {}
         self._by_predicate: dict[str, list[Atom]] = {}
-        self._index: dict[tuple[str, int, Term], list[Atom]] = {}
+        # (predicate, 0-based position, term) -> facts, in insertion order;
+        # compiled joins read it directly, nothing outside writes it
+        self.index: dict[tuple[str, int, Term], list[Atom]] = {}
         self.active_epoch: int = 0
 
     @classmethod
@@ -306,7 +276,7 @@ class Instance:
         self._facts[fact] = None
         self._by_predicate.setdefault(fact.predicate, []).append(fact)
         for i, t in enumerate(fact.terms):
-            self._index.setdefault((fact.predicate, i, t), []).append(fact)
+            self.index.setdefault((fact.predicate, i, t), []).append(fact)
         return True
 
     def __contains__(self, fact: Atom) -> bool:
@@ -331,7 +301,7 @@ class Instance:
             return self.facts_for(predicate)
         best: Optional[list[Atom]] = None
         for i, t in bound:
-            lst = self._index.get((predicate, i, t))
+            lst = self.index.get((predicate, i, t))
             if lst is None:
                 return []
             if best is None or len(lst) < len(best):

@@ -10,14 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .analysis import AnalysisReport, analyze
+from .analysis import AnalysisReport, analyze, harmful_joins
 from .chase import (
     FIXPOINT,
     ChaseRun,
     ChaseVariant,
     exists_homomorphism,
     find_homomorphisms,
-    has_nontermination_risk,
     ichase,
     oblivious,
     pchase_r,
@@ -132,8 +131,8 @@ def default_resumptions(query: Query) -> int:
 
 
 CHAIN_WARNING = (
-    "ichase without resumptions can miss answers on this recursive "
-    "existential program: its renaming blocker folds parallel null chains; "
+    "ichase without resumptions can miss answers when the program or the "
+    "query joins on nulls: its renaming blocker folds parallel null chains; "
     "check with `dlgx diff` or --variant pchase-r --resumptions {k}"
 )
 
@@ -149,9 +148,9 @@ def answer_with_variant(
     """Chase, then answer.  The query is evaluated after every epoch and
     the run short-circuits on a true answer.
 
-    A false answer from plain ichase on a program at risk of
-    non-termination carries :data:`CHAIN_WARNING`, which suggests one
-    resumption per query atom.
+    A false answer from plain ichase carries :data:`CHAIN_WARNING`, which
+    suggests one resumption per query atom, when the program or the
+    query has a harmful join (see :func:`dlgx.analysis.harmful_joins`).
     """
     schema = program.schema
     evaluated: Optional[Answer] = None
@@ -172,7 +171,7 @@ def answer_with_variant(
         not answer.verdict
         and not answer.warnings
         and variant == ichase()
-        and has_nontermination_risk(program)
+        and harmful_joins(program, query)
     ):
         answer.warnings.append(CHAIN_WARNING.format(k=default_resumptions(query)))
     answer.variant = str(variant)

@@ -11,6 +11,7 @@ from dlgx.analysis import (
     analyze,
     compute_affected,
     compute_invaded,
+    harmful_joins,
 )
 from dlgx.generator import generate_random_program
 from dlgx.model import Position, Program
@@ -216,3 +217,37 @@ def test_report_json_is_deterministic():
     a = json.dumps(analyze(parse_program(SPLIT_SOURCES)).to_json_dict(), sort_keys=True)
     b = json.dumps(analyze(parse_program(SPLIT_SOURCES)).to_json_dict(), sort_keys=True)
     assert a == b
+
+
+def test_analyze_runs_shy_and_warded_once(monkeypatch):
+    import dlgx.analysis as analysis
+
+    calls = {"check_shy": 0, "check_warded": 0}
+    for name in calls:
+        real = getattr(analysis, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, name, counted)
+    for text in (SPLIT_SOURCES, HARMFUL_SELF_JOIN):
+        calls.update(check_shy=0, check_warded=0)
+        analyze(parse_program(text))
+        assert calls == {"check_shy": 1, "check_warded": 1}
+
+
+def test_harmful_joins_in_rules_and_query():
+    from dlgx.parser import parse_query
+
+    # Y joins the two i1 atoms and sits only at the affected i1[2]
+    program = parse_program(HARMFUL_SELF_JOIN)
+    assert harmful_joins(program) == [(1, "Y")]
+    # X also joins them, but i1[1] is not affected
+    assert (1, "X") not in harmful_joins(program)
+    query = parse_query("?- i1(A, N), i1(B, N).", schema=program.schema)
+    assert harmful_joins(program, query) == [(1, "Y"), (None, "N")]
+    # a join on an unaffected position is harmless
+    query = parse_query("?- i1(A, N), i2(A, B).", schema=program.schema)
+    assert harmful_joins(program, query) == [(1, "Y")]
+    assert harmful_joins(parse_program(SPLIT_SOURCES)) == []

@@ -30,6 +30,7 @@ from dlgx.model import (
     constant,
     format_instance,
     freeze_nulls,
+    term_sort_key,
 )
 from dlgx.parser import parse_program
 
@@ -276,8 +277,100 @@ def test_trigger_enumeration_is_sorted_and_complete():
     instance = Instance.from_facts(program.facts)
     triggers = _level_triggers(program, instance, list(instance))
     assert len(triggers) == 2
-    keys = [t.sort_key() for t in triggers]
+    keys = [(rule_id, tuple(map(term_sort_key, values))) for rule_id, values in triggers]
     assert keys == sorted(keys)
+
+
+# ---------------------------------------------------------------------------
+# Compiled join plans against a naive reference
+
+
+def reference_triggers(program, instance, delta):
+    """Every body homomorphism that uses at least one delta fact, found by
+    the general search, as sorted (rule id, values in variable-name order)."""
+    delta = set(delta)
+    found = set()
+    for rule in program.rules:
+        names = sorted({v.name for a in rule.body for v in a.variables()})
+        for hom in find_homomorphisms(rule.body, instance):
+            image = [Atom(a.predicate, [hom.get(t, t) for t in a.terms]) for a in rule.body]
+            if any(fact in delta for fact in image):
+                found.add((rule.id, tuple(hom[Variable(n)] for n in names)))
+    return sorted(found, key=lambda t: (t[0], tuple(map(term_sort_key, t[1]))))
+
+
+def checked_levels(monkeypatch):
+    """Make run_chase compare every level's triggers with the reference;
+    returns the list of levels checked."""
+    import dlgx.chase as chase
+
+    levels = []
+
+    def checked(program, instance, delta):
+        triggers = _level_triggers(program, instance, delta)
+        assert triggers == reference_triggers(program, instance, delta)
+        levels.append(len(triggers))
+        return triggers
+
+    monkeypatch.setattr(chase, "_level_triggers", checked)
+    return levels
+
+
+def test_join_plans_match_the_reference_on_generated_programs(monkeypatch):
+    levels = checked_levels(monkeypatch)
+    for seed in range(200):
+        run_chase(generate_random_program(seed), pchase_r(2), max_steps=2000)
+    assert len(levels) > 600 and sum(levels) > 1000
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a variable repeated inside one atom, in the pivot and in a join step
+        "p(a, a).\np(a, b).\nq(b).\nq(c).\nr(X) :- p(X, X).\nt(Y, X) :- q(Y), p(X, X).",
+        # a join step with two bound positions: the row scanned fixes only one
+        "p(a, b).\np(b, b).\np(c, a).\ne(a, a).\ne(b, c).\ns(X, Y) :- e(X, Y), p(X, Y).",
+        # constants in body atoms, in the pivot and in a join step
+        "p(a, b).\np(b, c).\nq(c).\nr(X) :- p(a, X).\ns(Y) :- q(Y), p(b, Y).",
+        # a body atom sharing no variable with the pivot: a cross product
+        "p(a).\np(b).\nq(c).\nq(d).\nr(X, Y) :- p(X), q(Y).",
+        # a body predicate with no facts
+        "p(a).\nr(X) :- p(X), ghost(X).\ns(X) :- ghost(X).",
+    ],
+)
+def test_join_plan_fixtures_match_the_reference(monkeypatch, text):
+    levels = checked_levels(monkeypatch)
+    run_chase(parse_program(text), pchase_r(1))
+    assert levels
+
+
+def test_join_plan_fixture_results():
+    program = parse_program(
+        "p(a, a).\np(a, b).\nq(b).\nq(c).\nr(X) :- p(X, X).\nt(Y, X) :- q(Y), p(X, X)."
+    )
+    run = run_chase(program, pchase())
+    assert sorted(str(f) for f in run.result if f.predicate in "rt") == [
+        "r(a)", "t(b, a)", "t(c, a)"
+    ]
+    program = parse_program(
+        "p(a, b).\np(b, b).\np(c, a).\ne(a, a).\ne(b, c).\ns(X, Y) :- e(X, Y), p(X, Y)."
+    )
+    assert not [f for f in run_chase(program, pchase()).result if f.predicate == "s"]
+    run = run_chase(parse_program("p(a).\np(b).\nq(c).\nr(X, Y) :- p(X), q(Y)."), pchase())
+    assert sorted(str(f) for f in run.result if f.predicate == "r") == ["r(a, c)", "r(b, c)"]
+    run = run_chase(parse_program("p(a).\nr(X) :- p(X), ghost(X)."), pchase())
+    assert len(run.result) == 1
+
+
+def test_multi_atom_head_shares_its_existential():
+    program = parse_program("p(a).\np(b).\nq(X, N), s(N, X, c) :- p(X).")
+    run = run_chase(program, pchase())
+    facts = {(f.predicate, f.terms[0]): f for f in run.result}
+    for x in ("a", "b"):
+        q_fact, s_fact = facts[("q", constant(x))], facts[("s", facts[("q", constant(x))].terms[1])]
+        assert isinstance(q_fact.terms[1], Null)
+        assert s_fact.terms == (q_fact.terms[1], constant(x), constant("c"))
+    assert facts[("q", constant("a"))].terms[1] != facts[("q", constant("b"))].terms[1]
 
 
 def test_resumption_freezes_then_extends():

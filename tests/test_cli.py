@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -37,6 +38,24 @@ src1(a).
 mid2(X, Y) :- src1(X).
 mid2(Y, Z) :- mid2(X, Y).
 """
+
+PSC_CHAIN = """\
+person(p1).
+company(c1).
+company(c2).
+company(c3).
+controls(p1, c1).
+controls(c1, c2).
+controls(c2, c3).
+ctrl(X, Y) :- controls(X, Y).
+ctrl(X, Z) :- ctrl(X, Y), controls(Y, Z).
+psc(P, C) :- ctrl(P, C), person(P), company(C).
+filing(P, N, C) :- psc(P, C).
+filing(P, N, D) :- filing(P, N, C), controls(C, D).
+"""
+
+# traces written before trigger enumeration was compiled into join plans
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -152,6 +171,21 @@ class TestChase:
             jsonschema.validate(record, schema)
         assert any(r["fired"] for r in records)
 
+    @pytest.mark.parametrize(
+        "variant, golden",
+        [
+            (["pchase-r", "--resumptions", "2"], "psc_chain.pchase-r-2.jsonl"),
+            (["ichase"], "psc_chain.ichase.jsonl"),
+        ],
+    )
+    def test_trace_matches_golden_byte_for_byte(self, tmp_path, capsys, variant, golden):
+        trace_path = tmp_path / "trace.jsonl"
+        program = str(GOLDEN / "psc_chain.dlgx")
+        argv = ["chase", "--program", program, "--variant", *variant, "--trace", str(trace_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert trace_path.read_bytes() == (GOLDEN / golden).read_bytes()
+
     def test_facts_from_csv(self, tmp_path, capsys):
         program = write(tmp_path, "prog.dlgx", "t(X, Y) :- e(X, Y).")
         facts = tmp_path / "e.csv"
@@ -234,6 +268,25 @@ class TestQuery:
             payload = json.loads(capsys.readouterr().out)
             assert payload["verdict"] is True
             assert payload["variant"] == f"{variant[0]}(3)"
+
+    def test_ichase_resumes_once_per_query_atom_on_a_harmful_join(self, tmp_path, capsys):
+        # psc on one chain; the query joins two filings on their null N
+        program = write(tmp_path, "psc.dlgx", PSC_CHAIN)
+        query = write(tmp_path, "q.query", "?- filing(P, N, c1), filing(P, N, c3).")
+        argv = ["query", "--program", program, "--query", query, "--format", "json"]
+        assert main(argv + ["--variant", "ichase"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] is True
+        assert payload["variant"] == "ichase(2)"
+        # plain ichase is still there on request, and it warns
+        assert main(argv + ["--variant", "ichase", "--resumptions", "0"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["variant"] == "ichase"
+        assert "dlgx diff" in payload["warnings"][0]
+        # no harmful join, no resumption
+        plain = write(tmp_path, "plain.query", "?- filing(P, N, c3).")
+        assert main(["query", "--program", program, "--query", plain, "--format", "json", "--variant", "ichase"]) == 0
+        assert json.loads(capsys.readouterr().out)["variant"] == "ichase"
 
     def test_certain_enumerates_null_free_rows(self, tmp_path, capsys):
         program = write(tmp_path, "prog.dlgx", "e(a, b).\ne(b, c).\nt(X, Y) :- e(X, Y).")

@@ -10,9 +10,7 @@ from dlgx.model import (
     Program,
     Rule,
     SchemaError,
-    UnboundVariableError,
     Variable,
-    apply_substitution,
     constant,
     format_instance,
     format_term,
@@ -67,18 +65,6 @@ def test_atom_basics():
 def test_atom_requires_terms():
     with pytest.raises(ValueError):
         Atom("p", [])
-
-
-def test_apply_substitution():
-    a = Atom("p", [Variable("X"), constant("c")])
-    out = apply_substitution({Variable("X"): constant("a")}, a)
-    assert out == Atom("p", [constant("a"), constant("c")])
-
-
-def test_apply_substitution_rejects_unbound():
-    a = Atom("p", [Variable("X"), Variable("Y")])
-    with pytest.raises(UnboundVariableError):
-        apply_substitution({Variable("X"): constant("a")}, a)
 
 
 def test_position_is_one_based():

@@ -35,6 +35,24 @@ mid2(Y, Z) :- mid2(X, Y).
 """
 
 
+# psc's five rules on one chain: a person controls c1, which controls c2,
+# which controls c3; every control relation is filed under a null N
+PSC_CHAIN = """\
+person(p1).
+company(c1).
+company(c2).
+company(c3).
+controls(p1, c1).
+controls(c1, c2).
+controls(c2, c3).
+ctrl(X, Y) :- controls(X, Y).
+ctrl(X, Z) :- ctrl(X, Y), controls(Y, Z).
+psc(P, C) :- ctrl(P, C), person(P), company(C).
+filing(P, N, C) :- psc(P, C).
+filing(P, N, D) :- filing(P, N, C), controls(C, D).
+"""
+
+
 def q(text: str, program=None) -> Query:
     schema = program.schema if program is not None else None
     return parse_query(text, schema=schema)
@@ -327,3 +345,23 @@ def test_plain_ichase_false_on_terminating_program_does_not_warn():
     ans, _ = answer_with_variant(program, q("?- q(b, Z).", program), ichase())
     assert ans.verdict is False
     assert ans.warnings == []
+
+
+def test_plain_ichase_false_on_harmful_query_join_warns():
+    """psc has no existential rule on a cycle, but the query joins two
+    filings on the null N; plain ichase folds the c1 filing's null chain
+    onto another one and answers false, so the answer must warn."""
+    from dlgx.analysis import harmful_joins
+
+    program = parse_program(PSC_CHAIN)
+    query = q("?- filing(P, N, c1), filing(P, N, c3).", program)
+    assert harmful_joins(program) == []
+    assert harmful_joins(program, query) == [(None, "N")]
+    plain, run = answer_with_variant(program, query, ichase())
+    assert run.status == "fixpoint"
+    assert plain.verdict is False
+    assert plain.warnings == [CHAIN_WARNING.format(k=2)]
+    resumed, _ = answer_with_variant(program, query, ichase(default_resumptions(query)))
+    assert resumed.verdict is True and resumed.warnings == []
+    certain, _ = answer_with_variant(program, query, pchase_r(default_resumptions(query)))
+    assert certain.verdict is True

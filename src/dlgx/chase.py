@@ -13,7 +13,13 @@ when a trigger may fire:
                 head exists (nulls map bijectively to nulls).
 
 A resumption freezes every null once the chase reaches a fixpoint and
-runs it again.  The four names users know are combinations of the two:
+runs it again, seeded only from the facts that hold a null.  At the
+fixpoint, a trigger whose values hold no null either fired, so its head
+is present, or was blocked by a witness; freezing keeps both true, so
+either blocker blocks it again.  A trigger whose values hold a null uses
+a fact that holds one, so the smaller seed still finds every trigger
+whose outcome can change.  The four names users know are combinations of
+the two:
 
   name       blocker       resumptions
   oblivious  none          0
@@ -577,6 +583,11 @@ def run_chase(
     trigger also ends the run: the next epoch would block every trigger
     on that trigger's own output, so it could add nothing.
 
+    A resumption considers only the triggers that use a fact holding a
+    null (see the module docstring), so the trace has no record of the
+    null-free triggers it re-blocks.  They still count as blocked: once
+    one has come up, no resumption ends the run for blocking nothing.
+
     Past an epoch's first level, every trigger uses a fact that the level
     before added, so no trigger comes up twice in one epoch.
     """
@@ -594,17 +605,24 @@ def run_chase(
     resumptions_used = 0
     status = FIXPOINT
     level = 0
+    # has a trigger with null-free values come up?  A resumption would
+    # re-block it, though it no longer enumerates it
+    null_free_seen = False
 
     for epoch in range(variant.resumptions + 1):
+        delta: Sequence[Atom] = list(instance)
+        blocked = 0
         if epoch > 0:
             freeze_nulls(instance)
             resumptions_used += 1
-        blocked = 0
-        delta: Sequence[Atom] = list(instance)
+            delta = [f for f in delta if any(isinstance(t, Null) for t in f.terms)]
+            blocked = int(null_free_seen)
         while delta and status == FIXPOINT:
             added: list[Atom] = []
             for rule_id, values in _level_triggers(program, instance, delta):
                 plan = plans[rule_id]
+                if not null_free_seen:
+                    null_free_seen = not any(isinstance(t, Null) for t in values)
                 head = plan.instantiate(values, nulls.preview(plan.fresh, instance.active_epoch))
                 block = None
                 if blocker == ISOMORPHISM:

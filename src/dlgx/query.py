@@ -121,7 +121,11 @@ def evaluate_query(
     for hom in find_homomorphisms(query.atoms, instance):
         row = tuple(hom[Variable(name)] for name in query.output_vars)
         seen.add(row)
-    rows = sorted(seen, key=lambda r: tuple(term_sort_key(t) for t in r))
+    # stable sorts from the last column to the first leave the rows in term
+    # order, column by column, with one small key per row alive at a time
+    rows = list(seen)
+    for i in reversed(range(len(query.output_vars))):
+        rows.sort(key=lambda row: term_sort_key(row[i]))
     return Answer(verdict=bool(rows), tuples=rows)
 
 

@@ -10,6 +10,7 @@ from dlgx.chase import (
     NonTerminationRiskError,
     _level_triggers,
     compare_chase_containment,
+    compile_rule,
     exists_homomorphism,
     exists_isomorphic_embedding,
     find_homomorphisms,
@@ -392,6 +393,56 @@ def test_resumption_stops_after_an_epoch_that_blocks_nothing():
         assert not [r for r in run.trace if r.block_reason in ("homomorphism", "isomorphism")]
         assert run.resumptions_used == 0
         assert format_instance(run.result) == format_instance(run_chase(program, plain).result)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # null-free Datalog: the second derivation of r(a) is blocked
+        "p(a).\np2(a).\nr(X) :- p(X).\nr(X) :- p2(X).",
+        # q(a, n1) carries a null, but no rule body reads q: every trigger a
+        # resumption blocks is null-free
+        "p(a).\np2(a).\nq(X, Z) :- p(X).\nr(X) :- p(X).\nr(X) :- p2(X).",
+    ],
+)
+def test_resumptions_that_block_only_null_free_triggers_still_count(text):
+    # each resumption re-blocks the null-free triggers, so none ends the run
+    program = parse_program(text)
+    for variant in (pchase_r(3), ichase(3)):
+        calls = []
+        run = run_chase(program, variant, on_epoch=lambda instance, epoch: calls.append(epoch))
+        assert run.resumptions_used == 3
+        assert calls == [0, 1, 2, 3]
+
+
+def test_null_free_triggers_stay_blocked_after_a_freeze():
+    # the lemma behind seeding resumptions from null-carrying facts only:
+    # at an epoch-0 fixpoint, every trigger whose values hold no null is
+    # blocked again once the nulls are frozen
+    def blocked(blocker, head, inst):
+        if blocker == "isomorphism":
+            return exists_isomorphic_embedding(head, inst)
+        return exists_homomorphism(head, inst, free_nulls=True) is not None
+
+    checked = 0
+    for seed in range(200):
+        program = generate_random_program(seed)
+        plans = {rule.id: compile_rule(rule) for rule in program.rules}
+        for variant in (pchase(), ichase()):
+            run = run_chase(program, variant, max_steps=3000)
+            if run.status != "fixpoint":
+                continue
+            inst = run.result
+            freeze_nulls(inst)
+            for rule_id, values in _level_triggers(program, inst, list(inst)):
+                if any(isinstance(t, Null) for t in values):
+                    continue
+                plan = plans[rule_id]
+                fresh = [Null(10**9 + k, inst.active_epoch) for k in range(plan.fresh)]
+                head = plan.instantiate(values, fresh)
+                assert blocked(variant.blocker, head, inst), (seed, str(variant), rule_id)
+                checked += 1
+    assert checked > 1000
 
 
 def test_on_epoch_can_stop_early():

@@ -54,7 +54,8 @@ filing(P, N, C) :- psc(P, C).
 filing(P, N, D) :- filing(P, N, C), controls(C, D).
 """
 
-# traces written before trigger enumeration was compiled into join plans
+# golden traces pin trigger order and every record; the ichase trace was
+# written before trigger enumeration was compiled into join plans
 GOLDEN = Path(__file__).parent / "golden"
 
 

@@ -116,6 +116,15 @@ class TestEvaluateQuery:
         ans = evaluate_query(query, inst)
         assert ans.tuples == [(constant("a"),), (constant("b"),)]
 
+    def test_output_tuples_sort_by_term_order_across_kinds(self):
+        # constants before nulls, nulls by epoch then counter, row by row
+        terms = [constant("b"), constant("a"), Null(2, 1), Null(10, 0), Null(3, 0)]
+        inst = Instance.from_facts(Atom("e", (x, y)) for x in terms for y in terms)
+        query = Query(atoms=(Atom("e", (Variable("X"), Variable("Y"))),), output_vars=("X", "Y"))
+        order = [constant("a"), constant("b"), Null(3, 0), Null(10, 0), Null(2, 1)]
+        expected = [(x, y) for x in order for y in order]
+        assert evaluate_query(query, inst).tuples == expected
+
     def test_output_vars_must_occur_in_atoms(self):
         with pytest.raises(ValueError):
             Query(atoms=(Atom("p", (Variable("X"),)),), output_vars=("Z",))

@@ -64,7 +64,7 @@ def _json(payload) -> str:
 
 def _print_diagnostics(err: ParseError) -> None:
     for d in err.diagnostics:
-        print(f"{d.span}: {d.severity}: {d.message}", file=sys.stderr)
+        print(d, file=sys.stderr)
 
 
 def _load_program(args: argparse.Namespace) -> Program:

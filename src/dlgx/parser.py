@@ -16,8 +16,10 @@ variables that do not occur in the body are existential.
 from __future__ import annotations
 
 import csv
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .model import (
     Atom,
@@ -61,169 +63,127 @@ class ParseError(Exception):
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    span: SourceSpan
+# A '"' that STRING cannot close (a raw newline or the end of input comes
+# first) falls through to ERROR and is reported as an unterminated string.
+_TOKEN = re.compile(
+    r"""(?P<SKIP>(?:[ \t\r\n]+|%[^\n]*)+)
+    |(?P<STRING>"(?:[^"\\\n]|\\.)*")
+    |(?P<ARROW>-->|->)
+    |(?P<IMPLIES>:-)
+    |(?P<QUERY>\?-)
+    |(?P<LPAREN>\()
+    |(?P<RPAREN>\))
+    |(?P<COMMA>,)
+    |(?P<PERIOD>\.)
+    |(?P<IDENT>\w+)
+    |(?P<ERROR>.)""",
+    re.VERBOSE | re.DOTALL,
+)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
-
-_PUNCT = {
-    ":-": "IMPLIES",
-    "-->": "ARROW",
-    "->": "ARROW",
-    "?-": "QUERY",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    ",": "COMMA",
-    ".": "PERIOD",
-}
-
-
-def _tokenize(text: str, filename: str) -> Iterator[_Token]:
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        span = SourceSpan(filename, line, col)
-        if ch == '"':
-            j = i + 1
-            buf = []
-            while j < n:
-                c = text[j]
-                if c == "\\" and j + 1 < n:
-                    buf.append(text[j + 1])
-                    j += 2
-                    continue
-                if c == '"':
-                    break
-                if c == "\n":
-                    break
-                buf.append(c)
-                j += 1
-            if j >= n or text[j] != '"':
-                raise ParseError([ParseDiagnostic("error", "unterminated string", span)])
-            yield _Token("STRING", "".join(buf), span)
-            col += j + 1 - i
-            i = j + 1
-            continue
-        matched = False
-        for punct in ("-->", ":-", "?-", "->"):
-            if text.startswith(punct, i):
-                yield _Token(_PUNCT[punct], punct, span)
-                i += len(punct)
-                col += len(punct)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch in "(),.":
-            yield _Token(_PUNCT[ch], ch, span)
-            i += 1
-            col += 1
-            continue
-        if ch.isalpha() or ch == "_" or ch.isdigit():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            yield _Token("IDENT", word, span)
-            col += j - i
-            i = j
-            continue
-        raise ParseError([ParseDiagnostic("error", f"unexpected character {ch!r}", span)])
-    yield _Token("EOF", "", SourceSpan(filename, line, col))
+# (kind, text, offset); a STRING's text is its value with escapes undone
+_Token = tuple[str, str, int]
 
 
 class _Parser:
+    """Tokens of one text plus the parse state; a diagnostic turns a
+    token's offset into a line and column only when it is made."""
+
     def __init__(self, text: str, filename: str):
-        self.tokens = list(_tokenize(text, filename))
-        self.pos = 0
+        self.text = text
+        self.filename = filename
+        self.line_starts: Optional[list[int]] = None
         self.errors: list[ParseDiagnostic] = []
-        self.arities: dict[str, tuple[int, SourceSpan]] = {}
+        self.arities: dict[str, tuple[int, int]] = {}
+        self.tokens = self.tokenize()
+        self.pos = 0
+
+    def tokenize(self) -> list[_Token]:
+        tokens: list[_Token] = []
+        append = tokens.append
+        for m in _TOKEN.finditer(self.text):
+            kind = m.lastgroup
+            if kind == "SKIP":
+                continue
+            word, offset = m.group(), m.start()
+            first = word[0]
+            # \w also matches numerics such as '½', which may not start a name
+            if kind == "ERROR" or kind == "IDENT" and not (first.isalpha() or first.isdigit() or first == "_"):
+                self.fail("unterminated string" if first == '"' else f"unexpected character {first!r}", offset)
+            if kind == "STRING":
+                word = word[1:-1]
+                if "\\" in word:
+                    word = _ESCAPE.sub(r"\1", word)
+            append((kind, word, offset))
+        append(("EOF", "", len(self.text)))
+        return tokens
+
+    def span(self, offset: int) -> SourceSpan:
+        if self.line_starts is None:
+            self.line_starts = [0] + [m.end() for m in re.finditer("\n", self.text)]
+        line = bisect_right(self.line_starts, offset)
+        return SourceSpan(self.filename, line, offset - self.line_starts[line - 1] + 1)
+
+    def error(self, message: str, offset: int, severity: str = "error") -> ParseDiagnostic:
+        return ParseDiagnostic(severity, message, self.span(offset))
+
+    def fail(self, message: str, offset: int) -> NoReturn:
+        raise ParseError(self.errors + [self.error(message, offset)])
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
     def next(self) -> _Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
+        if tok[0] != "EOF":
             self.pos += 1
         return tok
 
     def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                self.errors
-                + [ParseDiagnostic("error", f"expected {what}, found {tok.text or 'end of input'!r}", tok.span)]
-            )
-        return self.next()
+        tok = self.next()
+        if tok[0] != kind:
+            self.fail(f"expected {what}, found {tok[1] or 'end of input'!r}", tok[2])
+        return tok
 
     def term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "STRING":
-            self.next()
-            return constant(tok.text)
-        if tok.kind == "IDENT":
-            self.next()
-            if tok.text[0].isupper():
-                return Variable(tok.text)
-            return constant(tok.text)
-        raise ParseError(
-            self.errors
-            + [ParseDiagnostic("error", f"expected a term, found {tok.text or 'end of input'!r}", tok.span)]
-        )
+        kind, text, offset = self.next()
+        if kind == "STRING":
+            return constant(text)
+        if kind == "IDENT":
+            return Variable(text) if text[0].isupper() else constant(text)
+        self.fail(f"expected a term, found {text or 'end of input'!r}", offset)
 
-    def atom(self) -> tuple[Atom, SourceSpan]:
-        tok = self.expect("IDENT", "a predicate name")
-        if tok.text[0].isupper():
-            raise ParseError(
-                self.errors
-                + [ParseDiagnostic("error", f"predicate names must start lowercase: {tok.text!r}", tok.span)]
-            )
+    def atom(self) -> tuple[Atom, int]:
+        _, name, offset = self.expect("IDENT", "a predicate name")
+        if name[0].isupper():
+            self.fail(f"predicate names must start lowercase: {name!r}", offset)
         self.expect("LPAREN", "'('")
         terms = [self.term()]
-        while self.peek().kind == "COMMA":
-            self.next()
+        while self.peek()[0] == "COMMA":
+            self.pos += 1
             terms.append(self.term())
         self.expect("RPAREN", "')'")
-        atom = Atom(tok.text, terms)
-        self.check_arity(atom, tok.span)
-        return atom, tok.span
+        atom = Atom(name, terms)
+        self.check_arity(atom, offset)
+        return atom, offset
 
-    def check_arity(self, atom: Atom, span: SourceSpan) -> None:
+    def check_arity(self, atom: Atom, offset: int) -> None:
         seen = self.arities.get(atom.predicate)
         if seen is None:
-            self.arities[atom.predicate] = (atom.arity, span)
+            self.arities[atom.predicate] = (atom.arity, offset)
         elif seen[0] != atom.arity:
             self.errors.append(
-                ParseDiagnostic(
-                    "error",
-                    f"predicate {atom.predicate} has arity {seen[0]} (first used at {seen[1]}) "
+                self.error(
+                    f"predicate {atom.predicate} has arity {seen[0]} (first used at {self.span(seen[1])}) "
                     f"but appears here with arity {atom.arity}",
-                    span,
+                    offset,
                 )
             )
 
-    def atom_list(self) -> list[tuple[Atom, SourceSpan]]:
+    def atom_list(self) -> list[tuple[Atom, int]]:
         atoms = [self.atom()]
-        while self.peek().kind == "COMMA":
-            self.next()
+        while self.peek()[0] == "COMMA":
+            self.pos += 1
             atoms.append(self.atom())
         return atoms
 
@@ -233,44 +193,30 @@ def parse_program(text: str, filename: str = "<input>") -> Program:
     parser = _Parser(text, filename)
     facts: list[Atom] = []
     rules: list[Rule] = []
-    while parser.peek().kind != "EOF":
-        first = parser.peek()
-        if first.kind == "QUERY":
-            parser.errors.append(
-                ParseDiagnostic("error", "queries are not allowed in a program file", first.span)
-            )
+    while (first := parser.peek())[0] != "EOF":
+        if first[0] == "QUERY":
+            parser.errors.append(parser.error("queries are not allowed in a program file", first[2]))
             break
         atoms = parser.atom_list()
-        tok = parser.peek()
-        if tok.kind == "PERIOD":
-            parser.next()
+        kind, found, offset = parser.next()
+        if kind == "PERIOD":
             if len(atoms) != 1:
                 parser.errors.append(
-                    ParseDiagnostic("error", "a fact is a single atom; did you mean ':-' or '->'?", tok.span)
+                    parser.error("a fact is a single atom; did you mean ':-' or '->'?", offset)
                 )
                 continue
-            atom, span = atoms[0]
+            atom, offset = atoms[0]
             if not all(isinstance(t, Constant) for t in atom.terms):
-                parser.errors.append(
-                    ParseDiagnostic("error", f"facts must be ground: {format_atom(atom)}", span)
-                )
+                parser.errors.append(parser.error(f"facts must be ground: {format_atom(atom)}", offset))
                 continue
             facts.append(atom)
-        elif tok.kind == "IMPLIES":
-            parser.next()
-            body = parser.atom_list()
+        elif kind in ("IMPLIES", "ARROW"):
+            other = parser.atom_list()
             parser.expect("PERIOD", "'.'")
-            rules.append(_make_rule(parser, len(rules), body, atoms))
-        elif tok.kind == "ARROW":
-            parser.next()
-            head = parser.atom_list()
-            parser.expect("PERIOD", "'.'")
-            rules.append(_make_rule(parser, len(rules), atoms, head))
+            body, head = (other, atoms) if kind == "IMPLIES" else (atoms, other)
+            rules.append(_make_rule(parser, len(rules), body, head))
         else:
-            raise ParseError(
-                parser.errors
-                + [ParseDiagnostic("error", f"expected '.', ':-' or '->', found {tok.text or 'end of input'!r}", tok.span)]
-            )
+            parser.fail(f"expected '.', ':-' or '->', found {found or 'end of input'!r}", offset)
     if parser.errors:
         raise ParseError(parser.errors)
     try:
@@ -284,13 +230,13 @@ def parse_program(text: str, filename: str = "<input>") -> Program:
 def _make_rule(
     parser: _Parser,
     rule_id: int,
-    body: list[tuple[Atom, SourceSpan]],
-    head: list[tuple[Atom, SourceSpan]],
+    body: list[tuple[Atom, int]],
+    head: list[tuple[Atom, int]],
 ) -> Rule:
     try:
         return Rule.make(rule_id, [a for a, _ in body], [a for a, _ in head])
     except ValueError as exc:
-        raise ParseError(parser.errors + [ParseDiagnostic("error", str(exc), head[0][1])]) from exc
+        parser.fail(str(exc), head[0][1])
 
 
 def parse_query(
@@ -311,42 +257,31 @@ def parse_query(
     atoms = parser.atom_list()
     parser.expect("PERIOD", "'.'")
     outputs: list[_Token] = []
-    if parser.peek().kind == "IDENT":
+    if parser.peek()[0] == "IDENT":
         outputs.append(parser.next())
-        while parser.peek().kind == "COMMA":
+        while parser.peek()[0] == "COMMA":
             parser.next()
             outputs.append(parser.expect("IDENT", "an output variable"))
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        parser.errors.append(
-            ParseDiagnostic("error", f"unexpected input after query: {tok.text!r}", tok.span)
-        )
+    kind, found, offset = parser.peek()
+    if kind != "EOF":
+        parser.errors.append(parser.error(f"unexpected input after query: {found!r}", offset))
     names = {v.name for atom, _ in atoms for v in atom.variables()}
-    for tok in outputs:
-        if tok.text not in names:
-            parser.errors.append(
-                ParseDiagnostic("error", f"output variable {tok.text} does not occur in the query", tok.span)
-            )
+    for _, name, offset in outputs:
+        if name not in names:
+            parser.errors.append(parser.error(f"output variable {name} does not occur in the query", offset))
     if schema is not None:
-        for atom, span in atoms:
+        for atom, offset in atoms:
             expected = schema.get(atom.predicate)
             if expected is None:
-                note = ParseDiagnostic(
-                    "warning", f"unknown predicate {atom.predicate}; query will answer false", span
-                )
                 if diagnostics is not None:
-                    diagnostics.append(note)
+                    message = f"unknown predicate {atom.predicate}; query will answer false"
+                    diagnostics.append(parser.error(message, offset, "warning"))
             elif expected != atom.arity:
-                parser.errors.append(
-                    ParseDiagnostic(
-                        "error",
-                        f"predicate {atom.predicate} has arity {expected} but the query uses {atom.arity}",
-                        span,
-                    )
-                )
+                message = f"predicate {atom.predicate} has arity {expected} but the query uses {atom.arity}"
+                parser.errors.append(parser.error(message, offset))
     if parser.errors:
         raise ParseError(parser.errors)
-    return Query(atoms=tuple(a for a, _ in atoms), output_vars=tuple(t.text for t in outputs))
+    return Query(atoms=tuple(a for a, _ in atoms), output_vars=tuple(name for _, name, _ in outputs))
 
 
 def print_program(program: Program) -> str:

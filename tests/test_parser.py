@@ -59,15 +59,54 @@ def test_parse_error_carries_position():
     diag = exc.value.diagnostics[0]
     assert diag.span.file == "bad.dlgx"
     assert diag.span.line == 1
+    assert diag.span.column == 5
     assert diag.severity == "error"
 
 
 def test_arity_clash_reports_first_use():
     with pytest.raises(ParseError) as exc:
         parse_program("e1(a).\ne1(a, b).\n")
-    message = exc.value.diagnostics[0].message
-    assert "e1" in message
-    assert "1" in message and "2" in message
+    (diag,) = exc.value.diagnostics
+    assert "e1" in diag.message
+    assert "1" in diag.message and "2" in diag.message
+    assert "(first used at <input>:1:1)" in diag.message
+    assert (diag.span.line, diag.span.column) == (2, 1)
+
+
+def test_end_of_input_after_a_comment_is_at_the_end():
+    with pytest.raises(ParseError) as exc:
+        parse_program("e(a) % note")
+    assert str(exc.value.diagnostics[0]) == (
+        "<input>:1:12: error: expected '.', ':-' or '->', found 'end of input'"
+    )
+
+
+def test_escaped_newline_in_a_quoted_constant_counts_as_a_line():
+    with pytest.raises(ParseError) as exc:
+        parse_program('e(a).\ne("x\\\ny").\nf(b, c).\nf(d).')
+    (diag,) = exc.value.diagnostics
+    assert (diag.span.line, diag.span.column) == (5, 1)
+    assert "(first used at <input>:4:1)" in diag.message
+
+
+def test_identifier_may_not_start_with_a_numeric_character():
+    with pytest.raises(ParseError) as exc:
+        parse_program("e(½).")
+    assert str(exc.value.diagnostics[0]) == "<input>:1:3: error: unexpected character '½'"
+
+
+def test_identifier_characters():
+    (fact,) = parse_program("e(a½, é, _x, 12).").facts
+    assert [t.symbol for t in fact.terms] == ["a½", "é", "_x", "12"]
+
+
+def test_every_arity_clash_is_reported_on_its_line():
+    text = "e(a).\n" + "e(a, b).\n" * 5000
+    with pytest.raises(ParseError) as exc:
+        parse_program(text)
+    diags = exc.value.diagnostics
+    assert len(diags) == 5000
+    assert [(d.span.line, d.span.column) for d in diags] == [(n, 1) for n in range(2, 5002)]
 
 
 def test_nonground_fact_rejected():

@@ -37,7 +37,8 @@ then lexicographic substitution order, which makes runs deterministic.
 Blocking conditions are tested against the instance as it exists at the
 moment the trigger is evaluated.
 
-Each rule is compiled once into a :class:`RulePlan`.  Its body variables
+Each rule is compiled once into a :class:`RulePlan`, whose body is a
+:class:`BodyPlan` (a query compiles into one too).  Its body variables
 become slots in sorted-name order, so a trigger is just ``(rule id,
 values)``.  For each body atom taken as the pivot (matched against the
 level's new facts), the plan holds a fixed join order over the other
@@ -88,6 +89,7 @@ _KINDS = {(blocker, k > 0): name for name, (blocker, k) in _NAMES.items()}
 
 FIXPOINT = "fixpoint"
 STEP_LIMIT = "step-limit-reached"
+QUERY_SATISFIED = "query-satisfied"
 
 
 class NonTerminationRiskError(Exception):
@@ -320,21 +322,48 @@ Step = tuple[str, tuple, tuple, tuple]
 
 
 @dataclass(frozen=True)
+class BodyPlan:
+    """A conjunction of atoms, a rule body or a query, compiled once for
+    matching seeded from new facts.
+
+    ``joins[p]`` enumerates the atoms with atom ``p`` as the pivot: its
+    first step matches the pivot against one fact (constants and repeated
+    variables become checks), the rest visit the other atoms in a fixed
+    order, most bound positions first.
+    """
+
+    slots: tuple[str, ...]
+    joins: tuple[tuple[Step, ...], ...]
+
+    def matches(
+        self, instance: Instance, delta: dict[str, list[Atom]], first: bool = False
+    ) -> set[tuple[Term, ...]]:
+        """The values of every match into ``instance`` that maps at least
+        one atom onto a ``delta`` fact (grouped by predicate).  With
+        ``first``, stop after the first pivot join that finds one."""
+        found: set[tuple[Term, ...]] = set()
+        values: list = [None] * len(self.slots)
+        for steps in self.joins:
+            pivot_facts = delta.get(steps[0][0])
+            if pivot_facts:
+                _extend(steps, 0, pivot_facts, values, instance, found)
+                if first and found:
+                    break
+        return found
+
+
+@dataclass(frozen=True)
 class RulePlan:
     """A rule compiled once for trigger enumeration and firing.
 
-    ``joins[p]`` enumerates the rule's body with body atom ``p`` as the
-    pivot: its first step matches the pivot against one fact (constants
-    and repeated variables become checks), the rest visit the other body
-    atoms in a fixed order, most bound positions first.  ``head`` gives,
-    per head atom, an index into the environment ``values + fresh nulls +
-    head constants``: a slot, an existential (in sorted-name order, as the
-    null factory mints them) or a constant.
+    ``body`` matches the rule's body.  ``head`` gives, per head atom, an
+    index into the environment ``values + fresh nulls + head constants``:
+    a slot, an existential (in sorted-name order, as the null factory
+    mints them) or a constant.
     """
 
     rule_id: int
-    slots: tuple[str, ...]
-    joins: tuple[tuple[Step, ...], ...]
+    body: BodyPlan
     head: tuple[tuple[str, tuple[int, ...]], ...]
     fresh: int
     constants: tuple[Term, ...]
@@ -363,40 +392,48 @@ def _compile_step(atom: Atom, slot_of: dict[str, int], bound: set[int], pivot: b
     return (atom.predicate, tuple(keys), tuple(binds), tuple(checks))
 
 
-def _join_order(rule: Rule, pivot: int) -> list[int]:
+def _join_order(body: Sequence[Atom], pivot: int) -> list[int]:
     """The other body atoms, each next one the atom with the most positions
     fixed by constants and by variables already bound; ties by index."""
-    bound = {v.name for v in rule.body[pivot].variables()}
-    rest = [i for i in range(len(rule.body)) if i != pivot]
+    bound = {v.name for v in body[pivot].variables()}
+    rest = [i for i in range(len(body)) if i != pivot]
     order = []
     while rest:
         best = max(
             rest,
             key=lambda i: (
-                sum(not isinstance(t, Variable) or t.name in bound for t in rule.body[i].terms),
+                sum(not isinstance(t, Variable) or t.name in bound for t in body[i].terms),
                 -i,
             ),
         )
         rest.remove(best)
         order.append(best)
-        bound.update(v.name for v in rule.body[best].variables())
+        bound.update(v.name for v in body[best].variables())
     return order
 
 
 @lru_cache(maxsize=1024)
-def compile_rule(rule: Rule) -> RulePlan:
-    slots = tuple(sorted({v.name for a in rule.body for v in a.variables()}))
+def compile_body(body: tuple[Atom, ...]) -> BodyPlan:
+    """Compile a conjunction of atoms, a rule body or a query, into its
+    slots and one join per pivot atom."""
+    slots = tuple(sorted({v.name for a in body for v in a.variables()}))
     slot_of = {name: i for i, name in enumerate(slots)}
     joins = []
-    for pivot in range(len(rule.body)):
+    for pivot in range(len(body)):
         bound: set[int] = set()
-        steps = [_compile_step(rule.body[pivot], slot_of, bound, pivot=True)]
-        for i in _join_order(rule, pivot):
-            steps.append(_compile_step(rule.body[i], slot_of, bound, pivot=False))
+        steps = [_compile_step(body[pivot], slot_of, bound, pivot=True)]
+        for i in _join_order(body, pivot):
+            steps.append(_compile_step(body[i], slot_of, bound, pivot=False))
         joins.append(tuple(steps))
+    return BodyPlan(slots, tuple(joins))
+
+
+@lru_cache(maxsize=1024)
+def compile_rule(rule: Rule) -> RulePlan:
+    body = compile_body(rule.body)
     existentials = sorted(rule.existential_vars)
-    env = dict(slot_of)
-    env.update((name, len(slots) + j) for j, name in enumerate(existentials))
+    env = {name: i for i, name in enumerate(body.slots)}
+    env.update((name, len(body.slots) + j) for j, name in enumerate(existentials))
     constants: list[Term] = []
     head = []
     for atom in rule.head:
@@ -408,9 +445,7 @@ def compile_rule(rule: Rule) -> RulePlan:
                 terms.append(len(env) + len(constants))
                 constants.append(t)
         head.append((atom.predicate, tuple(terms)))
-    return RulePlan(
-        rule.id, slots, tuple(joins), tuple(head), len(existentials), tuple(constants)
-    )
+    return RulePlan(rule.id, body, tuple(head), len(existentials), tuple(constants))
 
 
 def _rows(step: Step, values: list, instance: Instance) -> list[Atom]:
@@ -541,10 +576,17 @@ class TraceRecord:
 class ChaseRun:
     variant: ChaseVariant
     result: Instance
-    status: str  # "fixpoint" | "step-limit-reached"
+    status: str  # "fixpoint" | "step-limit-reached" | "query-satisfied"
     fired_steps: int
     resumptions_used: int
     trace: Optional[list[TraceRecord]] = None
+
+
+def group_by_predicate(facts: Iterable[Atom]) -> dict[str, list[Atom]]:
+    grouped: dict[str, list[Atom]] = {}
+    for f in facts:
+        grouped.setdefault(f.predicate, []).append(f)
+    return grouped
 
 
 def _level_triggers(
@@ -552,17 +594,10 @@ def _level_triggers(
 ) -> list[Trigger]:
     """Triggers whose body maps into ``instance`` using >= 1 delta fact,
     sorted by rule id, then by the term order of their values."""
-    delta_by_pred: dict[str, list[Atom]] = {}
-    for f in delta:
-        delta_by_pred.setdefault(f.predicate, []).append(f)
+    delta_by_pred = group_by_predicate(delta)
     out: list[Trigger] = []
     for plan in sorted(map(compile_rule, program.rules), key=lambda p: p.rule_id):
-        found: set[tuple[Term, ...]] = set()
-        values: list = [None] * len(plan.slots)
-        for steps in plan.joins:
-            pivot_facts = delta_by_pred.get(steps[0][0])
-            if pivot_facts:
-                _extend(steps, 0, pivot_facts, values, instance, found)
+        found = plan.body.matches(instance, delta_by_pred)
         out.extend((plan.rule_id, vs) for vs in sorted(found, key=_sort_key))
     return out
 
@@ -573,15 +608,23 @@ def run_chase(
     *,
     max_steps: Optional[int] = None,
     trace: bool = False,
-    on_epoch: Optional[Callable[[Instance, int], bool]] = None,
+    on_level: Optional[Callable[[Instance, list[Atom]], bool]] = None,
 ) -> ChaseRun:
     """Execute one chase variant over the program's facts.
 
     ``max_steps`` bounds the number of *fired* steps across all epochs.
-    ``on_epoch`` is called after each epoch reaches a fixpoint; returning
-    True stops before the remaining resumptions.  An epoch that blocks no
-    trigger also ends the run: the next epoch would block every trigger
-    on that trigger's own output, so it could add nothing.
+    An epoch that blocks no trigger ends the run: the next epoch would
+    block every trigger on that trigger's own output, so it could add
+    nothing.
+
+    ``on_level(instance, new_facts)`` is called once with the input facts
+    before any trigger, after every level with the facts that level added,
+    and with an empty list when an epoch reaches its fixpoint.  Returning
+    True on the input facts or on a level's facts ends the run with status
+    ``query-satisfied``; returning True at an epoch's fixpoint keeps status
+    ``fixpoint`` and skips the remaining resumptions.  A level cut short by
+    the step budget gets no call.  Without ``on_level`` a run ends at a
+    fixpoint or at the step budget.
 
     A resumption considers only the triggers that use a fact holding a
     null (see the module docstring), so the trace has no record of the
@@ -604,18 +647,20 @@ def run_chase(
     fired_steps = 0
     resumptions_used = 0
     status = FIXPOINT
+    delta: Sequence[Atom] = list(instance)
+    if on_level is not None and on_level(instance, delta):
+        status = QUERY_SATISFIED
     level = 0
     # has a trigger with null-free values come up?  A resumption would
     # re-block it, though it no longer enumerates it
     null_free_seen = False
 
     for epoch in range(variant.resumptions + 1):
-        delta: Sequence[Atom] = list(instance)
         blocked = 0
         if epoch > 0:
             freeze_nulls(instance)
             resumptions_used += 1
-            delta = [f for f in delta if any(isinstance(t, Null) for t in f.terms)]
+            delta = [f for f in instance if any(isinstance(t, Null) for t in f.terms)]
             blocked = int(null_free_seen)
         while delta and status == FIXPOINT:
             added: list[Atom] = []
@@ -637,7 +682,7 @@ def run_chase(
                 if records is not None:
                     records.append(
                         TraceRecord(
-                            rule_id, dict(zip(plan.slots, values)), block is None, block, level
+                            rule_id, dict(zip(plan.body.slots, values)), block is None, block, level
                         )
                     )
                 if block is not None:
@@ -647,9 +692,11 @@ def run_chase(
                 fired_steps += 1
             delta = added
             level += 1
+            if status == FIXPOINT and delta and on_level is not None and on_level(instance, delta):
+                status = QUERY_SATISFIED
         if status != FIXPOINT:
             break
-        if on_epoch is not None and on_epoch(instance, epoch):
+        if on_level is not None and on_level(instance, []):
             break
         if not blocked:  # a resumption would re-block every trigger
             break

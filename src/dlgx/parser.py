@@ -26,7 +26,6 @@ from .model import (
     Constant,
     Program,
     Rule,
-    SchemaError,
     Term,
     Variable,
     constant,
@@ -219,12 +218,8 @@ def parse_program(text: str, filename: str = "<input>") -> Program:
             parser.fail(f"expected '.', ':-' or '->', found {found or 'end of input'!r}", offset)
     if parser.errors:
         raise ParseError(parser.errors)
-    try:
-        return Program(rules=tuple(rules), facts=tuple(facts))
-    except (ValueError, SchemaError) as exc:
-        raise ParseError(
-            [ParseDiagnostic("error", str(exc), SourceSpan(filename, 1, 1))]
-        ) from exc
+    # every atom was arity-checked and every fact ground-checked above
+    return Program(rules=tuple(rules), facts=tuple(facts))
 
 
 def _make_rule(

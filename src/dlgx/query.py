@@ -15,8 +15,10 @@ from .chase import (
     FIXPOINT,
     ChaseRun,
     ChaseVariant,
+    compile_body,
     exists_homomorphism,
     find_homomorphisms,
+    group_by_predicate,
     ichase,
     oblivious,
     pchase_r,
@@ -94,6 +96,13 @@ class Answer:
         }
 
 
+def _unknown_predicates(query: Query, schema: Optional[dict[str, int]]) -> list[str]:
+    if schema is None:
+        return []
+    unknown = sorted(p for p in query.predicates() if p not in schema)
+    return [f"unknown predicate {p}; answering false" for p in unknown]
+
+
 def evaluate_query(
     query: Query, instance: Instance, schema: Optional[dict[str, int]] = None
 ) -> Answer:
@@ -103,14 +112,11 @@ def evaluate_query(
     answers false with a warning rather than erroring; a predicate that
     is merely empty is not a warning, just false.
     """
-    if schema is not None:
-        unknown = sorted(p for p in query.predicates() if p not in schema)
-        if unknown:
-            return Answer(
-                verdict=False,
-                tuples=[] if query.output_vars else None,
-                warnings=[f"unknown predicate {p}; answering false" for p in unknown],
-            )
+    warnings = _unknown_predicates(query, schema)
+    if warnings:
+        return Answer(
+            verdict=False, tuples=[] if query.output_vars else None, warnings=warnings
+        )
     if query.is_boolean:
         hom = exists_homomorphism(query.atoms, instance)
         if hom is None:
@@ -149,25 +155,48 @@ def answer_with_variant(
     max_steps: Optional[int] = None,
     trace: bool = False,
 ) -> tuple[Answer, ChaseRun]:
-    """Chase, then answer.  The query is evaluated after every epoch and
-    the run short-circuits on a true answer.
+    """Chase, then answer.
+
+    A Boolean query is checked after every level, on the matches that use
+    a fact the level added (the query is compiled like a rule body), and
+    the run stops with status ``query-satisfied`` at the first level where
+    it holds; the answer and its witness then come from evaluating the
+    query once on the instance the run stopped on.  A run that reaches a
+    fixpoint without holding answers false, and one cut short by the step
+    budget answers from the instance it left.  An answer-set query is
+    evaluated at the end of every epoch, and the run skips its remaining
+    resumptions once it has a row.
 
     A false answer from plain ichase carries :data:`CHAIN_WARNING`, which
     suggests one resumption per query atom, when the program or the
     query has a harmful join (see :func:`dlgx.analysis.harmful_joins`).
     """
     schema = program.schema
+    # the answer if the run ends at a fixpoint
     evaluated: Optional[Answer] = None
+    if query.is_boolean:
+        plan = compile_body(query.atoms)
+        predicates = query.predicates()
 
-    def on_epoch(instance: Instance, epoch: int) -> bool:
-        nonlocal evaluated
-        evaluated = evaluate_query(query, instance, schema)
-        return evaluated.verdict
+        def on_level(instance: Instance, new_facts: list[Atom]) -> bool:
+            # no match while a query predicate has no fact; once the last
+            # one gets facts, every match uses one of them
+            if not all(instance.facts_for(p) for p in predicates):
+                return False
+            return bool(plan.matches(instance, group_by_predicate(new_facts), first=True))
 
-    run = run_chase(program, variant, max_steps=max_steps, trace=trace, on_epoch=on_epoch)
-    # a run at fixpoint ended on an epoch that on_epoch saw; otherwise the
-    # step budget ran out mid-epoch, after the last evaluation
-    if run.status == FIXPOINT and evaluated is not None:
+        evaluated = Answer(verdict=False, warnings=_unknown_predicates(query, schema))
+    else:
+
+        def on_level(instance: Instance, new_facts: list[Atom]) -> bool:
+            nonlocal evaluated
+            if new_facts:
+                return False
+            evaluated = evaluate_query(query, instance, schema)
+            return evaluated.verdict
+
+    run = run_chase(program, variant, max_steps=max_steps, trace=trace, on_level=on_level)
+    if run.status == FIXPOINT:
         answer = evaluated
     else:
         answer = evaluate_query(query, run.result, schema)
@@ -226,7 +255,10 @@ class DifferentialReport:
 
 
 def _known_verdict(answer: Answer) -> Optional[bool]:
-    """True answers survive truncation; false ones need a fixpoint."""
+    """A true answer is known however the run ended: a run stopped once
+    the query held (``query-satisfied``) or cut short by the step budget
+    only has fewer facts than the full chase, and adding facts never
+    retracts a match.  A false answer needs a fixpoint."""
     if answer.verdict:
         return True
     if answer.chase_status == FIXPOINT:
@@ -250,8 +282,10 @@ def differential_bcqa(
       shy + oracle       oblivious and pchase-r must agree,
       warded + oracle    oblivious and ichase must agree.
 
-    A one-sided check still applies when a run was truncated while
-    already true (extending a chase never retracts an answer).
+    Each answer comes from :func:`answer_with_variant`, so a run stops at
+    the first level where the query holds, with status
+    ``query-satisfied``.  A check still applies when a run was truncated
+    while already true (extending a chase never retracts an answer).
     """
     report = analyze(program)
     k = default_resumptions(query) if resumptions is None else resumptions

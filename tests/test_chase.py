@@ -409,10 +409,16 @@ def test_resumptions_that_block_only_null_free_triggers_still_count(text):
     # each resumption re-blocks the null-free triggers, so none ends the run
     program = parse_program(text)
     for variant in (pchase_r(3), ichase(3)):
-        calls = []
-        run = run_chase(program, variant, on_epoch=lambda instance, epoch: calls.append(epoch))
+        fixpoints = []
+
+        def on_level(instance, new_facts):
+            if not new_facts:
+                fixpoints.append(instance.active_epoch)
+            return False
+
+        run = run_chase(program, variant, on_level=on_level)
         assert run.resumptions_used == 3
-        assert calls == [0, 1, 2, 3]
+        assert fixpoints == [0, 1, 2, 3]
 
 
 def test_null_free_triggers_stay_blocked_after_a_freeze():
@@ -445,17 +451,35 @@ def test_null_free_triggers_stay_blocked_after_a_freeze():
     assert checked > 1000
 
 
-def test_on_epoch_can_stop_early():
+def test_on_level_can_stop_at_an_epoch_fixpoint():
     program = parse_program(TWO_PATH)
     calls = []
 
-    def stop(instance, epoch):
-        calls.append(epoch)
-        return True
+    def stop(instance, new_facts):
+        calls.append([str(f) for f in new_facts])
+        return not new_facts
 
-    run = run_chase(program, pchase_r(5), on_epoch=stop)
-    assert run.resumptions_used == 0
-    assert calls == [0]
+    run = run_chase(program, pchase_r(5), on_level=stop)
+    assert run.status == "fixpoint" and run.resumptions_used == 0
+    # the input facts, the one level that added a fact, the fixpoint
+    assert calls == [["n(a)"], ["e(a, _:e0n1)"], []]
+
+
+def test_on_level_can_stop_after_a_level():
+    program = parse_program(TWO_PATH)
+    levels = []
+
+    def stop(instance, new_facts):
+        levels.append(len(new_facts))
+        return len(levels) == 2
+
+    run = run_chase(program, pchase_r(5), on_level=stop, trace=True)
+    assert run.status == "query-satisfied"
+    assert levels == [1, 1]
+    assert run.fired_steps == 1 and [r.level for r in run.trace] == [0]
+    # True on the input facts: no trigger is considered
+    run = run_chase(program, pchase_r(5), on_level=lambda instance, new_facts: True)
+    assert run.status == "query-satisfied" and run.fired_steps == 0
 
 
 def test_trace_records_match_schema():

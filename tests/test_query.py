@@ -4,7 +4,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from dlgx.chase import ichase, oblivious, pchase, pchase_r, run_chase
+from dlgx.chase import find_homomorphisms, ichase, oblivious, pchase, pchase_r, run_chase
 from dlgx.generator import generate_random_program, generate_random_query
 from dlgx.model import Atom, Instance, Null, Variable, constant
 from dlgx.parser import parse_program, parse_query
@@ -23,6 +23,10 @@ n(a).
 e(X, Y) :- n(X).
 n(Y) :- e(X, Y).
 """
+
+# TWO_PATH from two roots: every level of the chain fires two triggers, so
+# a step budget can run out inside the level where a query turns true
+TWO_ROOTS = "n(b).\n" + TWO_PATH
 
 # protected, recursive existentials: the renaming-based blocker folds the
 # second derivation chain onto the first, so deep anchored chain queries
@@ -153,8 +157,9 @@ class TestAnswerWithVariant:
         ans, run = answer_with_variant(program, q("?- e(X, Y).", program), pchase())
         assert ans.verdict is True
         assert ans.variant == "pchase"
-        assert ans.chase_status == "fixpoint"
-        assert ans.chase_steps == run.fired_steps
+        # e(a, n1), the first step, makes the query true
+        assert ans.chase_status == "query-satisfied"
+        assert ans.chase_steps == run.fired_steps == 1
 
     def test_pchase_r_short_circuits_once_true(self):
         program = parse_program(TWO_PATH)
@@ -165,11 +170,13 @@ class TestAnswerWithVariant:
         assert run.resumptions_used == 1
 
     def test_budget_spent_in_a_resumption_reevaluates_the_query(self):
-        # epoch 0 ends false; epoch 1 adds n(n1) on the second step and then
-        # runs out of budget, so the answer must come from the final instance
-        program = parse_program(TWO_PATH)
+        # epoch 0 adds e(a, n1) and e(b, n2) and ends false; epoch 1's first
+        # level adds n(n1) on the third step, which makes the query true, and
+        # runs out of budget before n(n2), so no level ends after the query
+        # turns true and the answer must come from the final instance
+        program = parse_program(TWO_ROOTS)
         query = q("?- n(X), e(X, Y), n(Y).", program)
-        ans, run = answer_with_variant(program, query, pchase_r(1), max_steps=2)
+        ans, run = answer_with_variant(program, query, pchase_r(1), max_steps=3)
         assert run.status == "step-limit-reached" and run.resumptions_used == 1
         assert ans.verdict is True
 
@@ -179,7 +186,11 @@ class TestAnswerWithVariant:
         plain, _ = answer_with_variant(program, query, pchase())
         resumed, _ = answer_with_variant(program, query, pchase_r(1))
         renaming, _ = answer_with_variant(program, query, ichase())
-        bounded, _ = answer_with_variant(program, query, oblivious(), max_steps=4)
+        # the fifth oblivious step, e(n1, n3), makes the query true inside a
+        # level whose second trigger, e(n2, n4), finds the budget spent
+        bounded, _ = answer_with_variant(
+            parse_program(TWO_ROOTS), query, oblivious(), max_steps=5
+        )
         assert plain.verdict is False
         assert resumed.verdict is True
         assert renaming.verdict is True
@@ -206,6 +217,81 @@ class TestAnswerWithVariant:
         assert payload["tuples"] == []
 
 
+class TestEarlyStop:
+    def test_boolean_query_true_on_the_input_facts_fires_nothing(self):
+        program = parse_program(TWO_PATH)
+        query = q("?- n(a).", program)
+        for variant in (pchase(), pchase_r(2), ichase(), ichase(2), oblivious()):
+            ans, run = answer_with_variant(program, query, variant, max_steps=50)
+            assert ans.verdict is True
+            assert ans.chase_status == "query-satisfied"
+            assert ans.chase_steps == run.fired_steps == 0
+            assert run.resumptions_used == 0 and len(run.result) == 1
+
+    def test_traced_run_stops_at_the_first_satisfying_level(self):
+        # ctrl(p1, c3) comes at level 2 and psc(p1, c3) at level 3; filing
+        # facts follow at level 4
+        program = parse_program(PSC_CHAIN)
+        query = q("?- psc(p1, c3).", program)
+        full = run_chase(program, pchase(), trace=True)
+        assert max(r.level for r in full.trace) == 4
+        ans, run = answer_with_variant(program, query, pchase(), trace=True)
+        assert ans.verdict is True and ans.chase_status == "query-satisfied"
+        assert max(r.level for r in run.trace) == 3
+        last = [r for r in run.trace if r.fired and r.level == 3]
+        assert any(r.subst == {"C": constant("c3"), "P": constant("p1")} for r in last)
+        assert run.fired_steps < full.fired_steps
+
+    def test_answer_set_queries_never_end_query_satisfied(self):
+        checked = satisfied = 0
+        for seed in range(60):
+            program = generate_random_program(seed)
+            query = generate_random_query(program, (seed + 1) * 31 + 7)
+            names = tuple(dict.fromkeys(v.name for a in query.atoms for v in a.variables()))
+            if not names:
+                continue
+            k = default_resumptions(query)
+            for variant in (pchase(), pchase_r(k), ichase(), ichase(k), oblivious()):
+                boolean, _ = answer_with_variant(program, query, variant, max_steps=2000)
+                rows, _ = answer_with_variant(
+                    program, Query(query.atoms, names), variant, max_steps=2000
+                )
+                assert rows.chase_status in ("fixpoint", "step-limit-reached"), (seed, variant)
+                assert rows.verdict == boolean.verdict or rows.chase_status != "fixpoint"
+                satisfied += boolean.chase_status == "query-satisfied"
+                checked += 1
+        assert checked > 200 and satisfied > 50
+
+    def test_delta_check_matches_the_reference_on_generated_pairs(self, monkeypatch):
+        """On every level, the query holds on the level's new facts iff some
+        homomorphism found by the general search maps an atom onto one."""
+        import dlgx.query
+
+        levels = []
+
+        def checked_run_chase(program, variant, *, on_level, **kwargs):
+            def level(instance, new_facts):
+                holds = on_level(instance, new_facts)
+                new = set(new_facts)
+                reference = any(
+                    Atom(a.predicate, [hom.get(t, t) for t in a.terms]) in new
+                    for hom in find_homomorphisms(query.atoms, instance)
+                    for a in query.atoms
+                )
+                assert holds == reference, (seed, [str(f) for f in new_facts])
+                levels.append(holds)
+                return False  # keep chasing, so every later level is checked too
+
+            return run_chase(program, variant, on_level=level, **kwargs)
+
+        monkeypatch.setattr(dlgx.query, "run_chase", checked_run_chase)
+        for seed in range(200):
+            program = generate_random_program(seed)
+            query = generate_random_query(program, (seed + 1) * 31 + 7)
+            answer_with_variant(program, query, pchase_r(2), max_steps=2000)
+        assert len(levels) > 800 and sum(levels) > 100
+
+
 class TestDifferentialBcqa:
     def test_agreement_on_protected_program(self):
         program = parse_program(TWO_PATH)
@@ -217,8 +303,10 @@ class TestDifferentialBcqa:
         assert set(report.runs) == {"pchase-r", "ichase", "oblivious"}
 
     def test_truncated_true_still_counts(self):
-        program = parse_program(TWO_PATH)
-        report = differential_bcqa(program, q("?- e(X, Y), e(Y, Z).", program), budget=4)
+        # the oblivious oracle turns true on its fifth step, inside a level
+        # that then runs out of budget (see the test above)
+        program = parse_program(TWO_ROOTS)
+        report = differential_bcqa(program, q("?- e(X, Y), e(Y, Z).", program), budget=5)
         ob = report.answers["oblivious"]
         assert ob.verdict is True and ob.chase_status == "step-limit-reached"
         protected = [a for a in report.assertions if a.name.startswith("protected")]

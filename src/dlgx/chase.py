@@ -37,22 +37,26 @@ then lexicographic substitution order, which makes runs deterministic.
 Blocking conditions are tested against the instance as it exists at the
 moment the trigger is evaluated.
 
+One compiled matcher serves rules, queries, blockers and containment.
 Each rule is compiled once into a :class:`RulePlan`, whose body is a
 :class:`BodyPlan` (a query compiles into one too).  Its body variables
 become slots in sorted-name order, so a trigger is just ``(rule id,
 values)``.  For each body atom taken as the pivot (matched against the
-level's new facts), the plan holds a fixed join order over the other
-body atoms; each step says, per position, whether it checks a constant,
-checks a slot bound earlier, binds a new slot, or repeats a slot bound
-earlier in the same atom, and its bound positions select the index row
-to scan.  A head template builds the instantiated head from the values,
-the nulls the trigger would mint and the head's constants; the blocker
-checks that head, and firing adds the same atoms.
+level's new facts, or for a query against the index row its constants
+select), the plan holds a fixed join order over the other body atoms;
+each step says, per position, whether it checks a constant, checks a
+slot bound earlier, binds a new slot, or repeats a slot bound earlier in
+the same atom, and its bound positions select the index row to scan.  A
+head template builds the instantiated head from the values, the nulls
+the trigger would mint and the head's constants; firing adds it.  The
+blocker compiles it as a pattern whose plan depends only on its shape.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .analysis import compute_affected
@@ -144,187 +148,29 @@ def parse_variant(name: str, resumptions: Optional[int] = None) -> ChaseVariant:
 
 
 # ---------------------------------------------------------------------------
-# Homomorphism search
-
-# An atom's shape: (position, term, mobile?) per term, where a mobile term
-# (a variable, or a null the search may remap) can bind and a rigid one
-# must match exactly.  The searches below are module-level recursions, not
-# closures, so a finished search leaves no reference cycle for the garbage
-# collector.
-Shape = tuple[tuple[int, Term, bool], ...]
-
-
-def _shape(atom: Atom, target: Instance, variables: bool, nulls: bool) -> Shape:
-    """Variables are mobile if ``variables``; unfrozen nulls if ``nulls``."""
-    return tuple([
-        (
-            i,
-            t,
-            (variables and isinstance(t, Variable))
-            or (nulls and isinstance(t, Null) and not target.is_frozen(t)),
-        )
-        for i, t in enumerate(atom.terms)
-    ])
-
-
-def _bound_positions(shape: Shape, subst: dict[Term, Term]) -> list[tuple[int, Term]]:
-    out = []
-    for i, t, mobile in shape:
-        if mobile:
-            v = subst.get(t)
-            if v is not None:
-                out.append((i, v))
-        else:
-            out.append((i, t))
-    return out
-
-
-def _match(shape: Shape, fact: Atom, subst: dict[Term, Term]) -> Optional[dict[Term, Term]]:
-    """Bindings needed to map an atom of this shape onto ``fact``, or None."""
-    terms = fact.terms
-    updates: dict[Term, Term] = {}
-    for i, t, mobile in shape:
-        f = terms[i]
-        if mobile:
-            bound = subst.get(t)
-            if bound is None:
-                bound = updates.get(t)
-            if bound is None:
-                updates[t] = f
-            elif bound is not f and bound != f:
-                return None
-        elif t is not f and t != f:
-            return None
-    return updates
-
-
-def _homomorphisms(
-    atoms: list[tuple[str, Shape]],
-    used: list[bool],
-    subst: dict[Term, Term],
-    target: Instance,
-    k: int,
-) -> Iterator[dict[Term, Term]]:
-    if k == len(atoms):
-        yield dict(subst)
-        return
-    # most selective atom under the current bindings, ties by position
-    best = -1
-    cands: list[Atom] = []
-    for i, (predicate, shape) in enumerate(atoms):
-        if not used[i]:
-            rows = target.candidates(predicate, _bound_positions(shape, subst))
-            if best < 0 or len(rows) < len(cands):
-                best, cands = i, rows
-    shape = atoms[best][1]
-    used[best] = True
-    for fact in cands:
-        updates = _match(shape, fact, subst)
-        if updates is None:
-            continue
-        subst.update(updates)
-        yield from _homomorphisms(atoms, used, subst, target, k + 1)
-        for key in updates:
-            del subst[key]
-    used[best] = False
-
-
-def find_homomorphisms(
-    pattern: Sequence[Atom],
-    target: Instance,
-    *,
-    free_nulls: bool = False,
-    initial: Optional[Substitution] = None,
-) -> Iterator[dict[Term, Term]]:
-    """All mappings sending every pattern atom onto a fact of ``target``.
-
-    Variables are always free.  With ``free_nulls`` the pattern's
-    unfrozen nulls are free as well (they may land on constants or
-    nulls); frozen nulls and constants are rigid.  Enumeration is a
-    deterministic backtracking join, most selective relation first.
-    """
-    atoms = [(atom.predicate, _shape(atom, target, True, free_nulls)) for atom in pattern]
-    subst: dict[Term, Term] = dict(initial) if initial else {}
-    return _homomorphisms(atoms, [False] * len(atoms), subst, target, 0)
-
-
-def exists_homomorphism(
-    pattern: Sequence[Atom],
-    target: Instance,
-    *,
-    free_nulls: bool = False,
-    initial: Optional[Substitution] = None,
-) -> Optional[dict[Term, Term]]:
-    return next(
-        find_homomorphisms(pattern, target, free_nulls=free_nulls, initial=initial),
-        None,
-    )
-
-
-def _embeds(
-    shapes: list[tuple[str, Shape]],
-    k: int,
-    subst: dict[Term, Term],
-    used: set[Term],
-    target: Instance,
-) -> bool:
-    if k == len(shapes):
-        return True
-    predicate, shape = shapes[k]
-    for fact in target.candidates(predicate, _bound_positions(shape, subst)):
-        updates = _match(shape, fact, subst)
-        if updates is None:
-            continue
-        images = list(updates.values())
-        if any(not isinstance(v, Null) for v in images):
-            continue
-        if any(v in used for v in images) or len(set(images)) != len(images):
-            continue
-        subst.update(updates)
-        used.update(images)
-        if _embeds(shapes, k + 1, subst, used, target):
-            return True
-        for key, value in updates.items():
-            del subst[key]
-            used.discard(value)
-    return False
-
-
-def exists_isomorphic_embedding(fact_set: Sequence[Atom], target: Instance) -> bool:
-    """Is some subset of ``target`` an isomorphic copy of ``fact_set``?
-
-    The mapping is the identity on constants (and frozen nulls) and an
-    injective null-to-null assignment, so its inverse is a homomorphism
-    from the image back onto ``fact_set``.
-    """
-    atoms = sorted(fact_set, key=lambda a: len(target.facts_for(a.predicate)))
-    shapes = [(atom.predicate, _shape(atom, target, False, True)) for atom in atoms]
-    return _embeds(shapes, 0, {}, set(), target)
-
-
-# ---------------------------------------------------------------------------
-# Compiled rules
+# Compiled joins
 #
-# A trigger is a pair (rule id, values): the images of the rule's body
-# variables, one per slot, with slots in sorted variable-name order.
+# An atom compiles from its predicate and one code per position: a slot,
+# or a term to match as it is.  Matching fills a list of values, one per
+# slot.  A trigger is (rule id, values): the images of the body variables.
 Trigger = tuple[int, tuple[Term, ...]]
 
 # One step of a join: (predicate, keys, binds, checks).
 #   keys    (position, slot, constant) for each position fixed before the
-#           step is reached, by a rule constant (slot -1) or by a slot an
-#           earlier step bound; the shortest index row among them gives
-#           the candidate facts
-#   binds   (position, slot) for the first occurrence of a variable
-#   checks  (position, slot, constant) that the candidate facts must also
-#           match: a repeat of a slot bound earlier in the same atom, and
-#           every key when there is more than one
+#           step is reached, by a rigid term (slot None) or by a bound
+#           slot; the shortest index row among them gives the candidates
+#   binds   (position, slot) for the first occurrence of a slot
+#   checks  (position, slot, constant) the candidates must also match: a
+#           repeat of a slot bound in the same atom, and every key when
+#           there are several or the step is a pivot
 Step = tuple[str, tuple, tuple, tuple]
+Join = tuple[Step, ...]
+_ALL = sys.maxsize  # no limit on the number of matches
 
 
 @dataclass(frozen=True)
 class BodyPlan:
-    """A conjunction of atoms, a rule body or a query, compiled once for
-    matching seeded from new facts.
+    """A conjunction of atoms, a rule body or a query, compiled once.
 
     ``joins[p]`` enumerates the atoms with atom ``p`` as the pivot: its
     first step matches the pivot against one fact (constants and repeated
@@ -333,23 +179,38 @@ class BodyPlan:
     """
 
     slots: tuple[str, ...]
-    joins: tuple[tuple[Step, ...], ...]
+    joins: tuple[Join, ...]
 
     def matches(
-        self, instance: Instance, delta: dict[str, list[Atom]], first: bool = False
+        self, instance: Instance, delta: dict[str, list[Atom]], limit: int = _ALL
     ) -> set[tuple[Term, ...]]:
         """The values of every match into ``instance`` that maps at least
-        one atom onto a ``delta`` fact (grouped by predicate).  With
-        ``first``, stop after the first pivot join that finds one."""
+        one atom onto a ``delta`` fact (grouped by predicate), stopping
+        at the ``limit``-th distinct one."""
         found: set[tuple[Term, ...]] = set()
         values: list = [None] * len(self.slots)
         for steps in self.joins:
             pivot_facts = delta.get(steps[0][0])
-            if pivot_facts:
-                _extend(steps, 0, pivot_facts, values, instance, found)
-                if first and found:
-                    break
+            if pivot_facts and _extend(
+                steps, 0, pivot_facts, values, instance, tuple, found, limit
+            ):
+                break
         return found
+
+    def evaluate(
+        self, instance: Instance, outputs: Sequence[str] = (), limit: int = _ALL
+    ) -> set[tuple[Term, ...]]:
+        """The distinct images of ``outputs`` (every slot when empty) over
+        all matches into ``instance``, stopping at the ``limit``-th.  The
+        pivot is the atom whose constants select the fewest facts."""
+        join: Join = ()
+        rows: list[Atom] = []
+        for steps in self.joins:
+            pivot_rows = _rows(steps[0], [], instance)
+            if not join or len(pivot_rows) < len(rows):
+                join, rows = steps, pivot_rows
+        leaf = _projection([self.slots.index(name) for name in outputs]) if outputs else tuple
+        return _search(join, [None] * len(self.slots), instance, leaf, limit, rows)
 
 
 @dataclass(frozen=True)
@@ -373,43 +234,45 @@ class RulePlan:
         return [Atom(predicate, [env[i] for i in terms]) for predicate, terms in self.head]
 
 
-def _compile_step(atom: Atom, slot_of: dict[str, int], bound: set[int], pivot: bool) -> Step:
+def _compile_step(predicate: str, codes: tuple, bound: set[int], pivot: bool) -> Step:
     keys, binds, checks = [], [], []
-    for pos, t in enumerate(atom.terms):
-        if not isinstance(t, Variable):
-            (checks if pivot else keys).append((pos, -1, t))
-            continue
-        slot = slot_of[t.name]
-        if slot in bound:
-            keys.append((pos, slot, None))
-        elif any(s == slot for _, s in binds):
-            checks.append((pos, slot, None))
+    for pos, code in enumerate(codes):
+        if not isinstance(code, int):
+            keys.append((pos, None, code))
+        elif code in bound:
+            keys.append((pos, code, None))
+        elif any(s == code for _, s in binds):
+            checks.append((pos, code, None))
         else:
-            binds.append((pos, slot))
+            binds.append((pos, code))
     bound.update(s for _, s in binds)
-    if len(keys) > 1:
+    if pivot or len(keys) > 1:
         checks.extend(keys)
-    return (atom.predicate, tuple(keys), tuple(binds), tuple(checks))
+    return (predicate, tuple(keys), tuple(binds), tuple(checks))
 
 
-def _join_order(body: Sequence[Atom], pivot: int) -> list[int]:
-    """The other body atoms, each next one the atom with the most positions
-    fixed by constants and by variables already bound; ties by index."""
-    bound = {v.name for v in body[pivot].variables()}
-    rest = [i for i in range(len(body)) if i != pivot]
-    order = []
+def _join(
+    atoms: Sequence[tuple[str, tuple]], bound: set[int], pivot: Optional[int] = None
+) -> Join:
+    """A join over ``atoms`` given the slots already ``bound``, from the
+    ``pivot`` or else from the atom with the most positions fixed; each
+    next atom has the most positions fixed by then, ties by index."""
+    rest = list(range(len(atoms)))
+    steps = []
     while rest:
-        best = max(
-            rest,
-            key=lambda i: (
-                sum(not isinstance(t, Variable) or t.name in bound for t in body[i].terms),
-                -i,
-            ),
-        )
-        rest.remove(best)
-        order.append(best)
-        bound.update(v.name for v in body[best].variables())
-    return order
+        if pivot is not None and not steps:
+            i = pivot
+        else:
+            i = max(
+                rest,
+                key=lambda i: (
+                    sum(not isinstance(c, int) or c in bound for c in atoms[i][1]),
+                    -i,
+                ),
+            )
+        rest.remove(i)
+        steps.append(_compile_step(*atoms[i], bound, pivot=i == pivot))
+    return tuple(steps)
 
 
 @lru_cache(maxsize=1024)
@@ -418,14 +281,11 @@ def compile_body(body: tuple[Atom, ...]) -> BodyPlan:
     slots and one join per pivot atom."""
     slots = tuple(sorted({v.name for a in body for v in a.variables()}))
     slot_of = {name: i for i, name in enumerate(slots)}
-    joins = []
-    for pivot in range(len(body)):
-        bound: set[int] = set()
-        steps = [_compile_step(body[pivot], slot_of, bound, pivot=True)]
-        for i in _join_order(body, pivot):
-            steps.append(_compile_step(body[i], slot_of, bound, pivot=False))
-        joins.append(tuple(steps))
-    return BodyPlan(slots, tuple(joins))
+    atoms = [
+        (a.predicate, tuple(slot_of[t.name] if isinstance(t, Variable) else t for t in a.terms))
+        for a in body
+    ]
+    return BodyPlan(slots, tuple(_join(atoms, set(), pivot) for pivot in range(len(atoms))))
 
 
 @lru_cache(maxsize=1024)
@@ -454,7 +314,7 @@ def _rows(step: Step, values: list, instance: Instance) -> list[Atom]:
     predicate, keys = step[0], step[1]
     rows: Optional[list[Atom]] = None
     for pos, slot, const in keys:
-        row = instance.index.get((predicate, pos, const if slot < 0 else values[slot]))
+        row = instance.index.get((predicate, pos, const if slot is None else values[slot]))
         if row is None:
             return []
         if rows is None or len(row) < len(rows):
@@ -463,15 +323,18 @@ def _rows(step: Step, values: list, instance: Instance) -> list[Atom]:
 
 
 def _extend(
-    steps: Sequence[Step],
+    steps: Join,
     k: int,
     rows: Sequence[Atom],
     values: list,
     instance: Instance,
+    leaf: Callable[[list], Optional[tuple]],
     found: set[tuple[Term, ...]],
-) -> None:
-    """Match join step ``k`` against ``rows`` and run the steps after it,
-    adding the values of every full match to ``found``."""
+    limit: int,
+) -> bool:
+    """Match join step ``k`` against ``rows`` and run the steps after it.
+    A full match adds ``leaf(values)``, unless None, to ``found``; True
+    once ``found`` holds ``limit`` rows, which stops the join."""
     binds, checks = steps[k][2], steps[k][3]
     last = k + 1 == len(steps)
     for fact in rows:
@@ -479,16 +342,153 @@ def _extend(
         for pos, slot in binds:
             values[slot] = terms[pos]
         for pos, slot, const in checks:
-            want = const if slot < 0 else values[slot]
+            want = const if slot is None else values[slot]
             t = terms[pos]
             if t is not want and t != want:
                 break
         else:
             if last:
-                found.add(tuple(values))
+                row = leaf(values)
+                if row is not None:
+                    found.add(row)
+                    if len(found) >= limit:
+                        return True
+            elif _extend(
+                steps, k + 1, _rows(steps[k + 1], values, instance), values, instance,
+                leaf, found, limit,
+            ):
+                return True
+    return False
+
+
+def _search(
+    join: Join,
+    values: list,
+    instance: Instance,
+    leaf: Callable[[list], Optional[tuple]] = tuple,
+    limit: int = _ALL,
+    rows: Optional[list[Atom]] = None,
+) -> set[tuple[Term, ...]]:
+    """Run ``join`` over the whole instance; its first step scans ``rows``
+    if given, else the rows its keys select."""
+    found: set[tuple[Term, ...]] = set()
+    if not join:  # no atoms: one empty match
+        found.add(leaf(values))
+    else:
+        rows = _rows(join[0], values, instance) if rows is None else rows
+        _extend(join, 0, rows, values, instance, leaf, found, limit)
+    found.discard(None)
+    return found
+
+
+def _projection(slots: Sequence[int]) -> Callable[[list], tuple]:
+    if len(slots) == 1:
+        (i,) = slots
+        return lambda values: (values[i],)
+    return itemgetter(*slots)
+
+
+# ---------------------------------------------------------------------------
+# Patterns: blockers, containment and the public homomorphism helpers
+#
+# A pattern's mobile terms, which a mapping may send elsewhere, become
+# slots 0, 1, ...; its k-th rigid term becomes slot -k, read from the end
+# of the values.  So a plan depends only on the pattern's shape, and the
+# instantiated heads of one rule share it whatever their terms.
+
+
+@lru_cache(maxsize=1024)
+def compile_pattern(shape: tuple[tuple[str, tuple], ...]) -> Join:
+    return _join(shape, {c for _, codes in shape for c in codes if c < 0})
+
+
+def _bind(
+    pattern: Sequence[Atom], nulls_from: int, variables: bool, initial: Substitution
+) -> tuple[Join, list, list[Term]]:
+    """The plan for ``pattern``, its starting values and its mobile terms:
+    nulls of epoch ``nulls_from`` on, and variables with ``variables``,
+    unless ``initial`` binds them."""
+    slot_of: dict[Term, int] = {}
+    rigid: list[Term] = []
+    shape = []
+    for atom in pattern:
+        codes = []
+        for t in atom.terms:
+            mobile = isinstance(t, Null) and t.epoch >= nulls_from or (
+                variables and isinstance(t, Variable)
+            )
+            if mobile and t not in initial:
+                codes.append(slot_of.setdefault(t, len(slot_of)))
             else:
-                rows_next = _rows(steps[k + 1], values, instance)
-                _extend(steps, k + 1, rows_next, values, instance, found)
+                rigid.append(initial[t] if mobile else t)
+                codes.append(-len(rigid))
+        shape.append((atom.predicate, tuple(codes)))
+    values = [None] * len(slot_of) + rigid[::-1]
+    return compile_pattern(tuple(shape)), values, list(slot_of)
+
+
+def _mappings(
+    pattern: Sequence[Atom],
+    target: Instance,
+    free_nulls: bool,
+    initial: Optional[Substitution],
+    limit: int,
+) -> list[dict[Term, Term]]:
+    initial = initial or {}
+    nulls_from = target.active_epoch if free_nulls else _ALL
+    join, values, mobile = _bind(pattern, nulls_from, True, initial)
+    found = _search(join, values, target, limit=limit)
+    rows = sorted(found, key=_sort_key) if len(found) > 1 else found
+    return [{**initial, **dict(zip(mobile, row))} for row in rows]
+
+
+def find_homomorphisms(
+    pattern: Sequence[Atom],
+    target: Instance,
+    *,
+    free_nulls: bool = False,
+    initial: Optional[Substitution] = None,
+) -> Iterator[dict[Term, Term]]:
+    """All mappings sending every pattern atom onto a fact of ``target``,
+    in the term order of their images.
+
+    Variables are always free.  With ``free_nulls`` the pattern's
+    unfrozen nulls are free as well (they may land on constants or
+    nulls); frozen nulls and constants are rigid.  Each mapping also
+    holds ``initial``, whose bindings the mapping keeps.
+    """
+    return iter(_mappings(pattern, target, free_nulls, initial, _ALL))
+
+
+def exists_homomorphism(
+    pattern: Sequence[Atom],
+    target: Instance,
+    *,
+    free_nulls: bool = False,
+    initial: Optional[Substitution] = None,
+) -> Optional[dict[Term, Term]]:
+    """One mapping as :func:`find_homomorphisms` gives them, or None."""
+    found = _mappings(pattern, target, free_nulls, initial, 1)
+    return found[0] if found else None
+
+
+def exists_isomorphic_embedding(fact_set: Sequence[Atom], target: Instance) -> bool:
+    """Is some subset of ``target`` an isomorphic copy of ``fact_set``?
+
+    The mapping is the identity on constants (and frozen nulls) and an
+    injective null-to-null assignment, so its inverse is a homomorphism
+    from the image back onto ``fact_set``.
+    """
+    join, values, mobile = _bind(fact_set, target.active_epoch, False, {})
+    n = len(mobile)
+
+    def injective_on_nulls(values: list) -> Optional[tuple]:
+        images = values[:n]
+        if len(set(images)) == n and all(isinstance(t, Null) for t in images):
+            return ()
+        return None
+
+    return bool(_search(join, values, target, injective_on_nulls, limit=1))
 
 
 def _sort_key(values: tuple[Term, ...]) -> tuple:
@@ -590,15 +590,18 @@ def group_by_predicate(facts: Iterable[Atom]) -> dict[str, list[Atom]]:
 
 
 def _level_triggers(
-    program: Program, instance: Instance, delta: Sequence[Atom]
+    plans: Sequence[RulePlan], instance: Instance, delta: Sequence[Atom], limit: int = _ALL
 ) -> list[Trigger]:
     """Triggers whose body maps into ``instance`` using >= 1 delta fact,
-    sorted by rule id, then by the term order of their values."""
+    in the order of ``plans`` (by rule id), each rule's sorted by the term
+    order of their values.  Enumeration stops at the ``limit``-th."""
     delta_by_pred = group_by_predicate(delta)
     out: list[Trigger] = []
-    for plan in sorted(map(compile_rule, program.rules), key=lambda p: p.rule_id):
-        found = plan.body.matches(instance, delta_by_pred)
+    for plan in plans:
+        found = plan.body.matches(instance, delta_by_pred, limit - len(out))
         out.extend((plan.rule_id, vs) for vs in sorted(found, key=_sort_key))
+        if len(out) >= limit:
+            break
     return out
 
 
@@ -613,6 +616,11 @@ def run_chase(
     """Execute one chase variant over the program's facts.
 
     ``max_steps`` bounds the number of *fired* steps across all epochs.
+    Without a blocker every trigger fires, so a level's enumeration stops
+    one trigger past the steps left: a budgeted oblivious run's work and
+    memory are bounded by its budget.  Such a cut level fires the least
+    of the triggers it found, not always the least of the whole level.
+
     An epoch that blocks no trigger ends the run: the next epoch would
     block every trigger on that trigger's own output, so it could add
     nothing.
@@ -640,7 +648,8 @@ def run_chase(
             "oblivious chase on a recursive existential program may not "
             "terminate; rerun with a step budget (--max-steps)"
         )
-    plans = {rule.id: compile_rule(rule) for rule in program.rules}
+    plans = sorted(map(compile_rule, program.rules), key=lambda p: p.rule_id)
+    plan_of = {plan.rule_id: plan for plan in plans}
     instance = Instance.from_facts(program.facts)
     nulls = NullFactory()
     records: Optional[list[TraceRecord]] = [] if trace else None
@@ -664,8 +673,10 @@ def run_chase(
             blocked = int(null_free_seen)
         while delta and status == FIXPOINT:
             added: list[Atom] = []
-            for rule_id, values in _level_triggers(program, instance, delta):
-                plan = plans[rule_id]
+            # without a blocker, one trigger past the budget left ends the run
+            limit = _ALL if blocker or max_steps is None else max_steps - fired_steps + 1
+            for rule_id, values in _level_triggers(plans, instance, delta, limit):
+                plan = plan_of[rule_id]
                 if not null_free_seen:
                     null_free_seen = not any(isinstance(t, Null) for t in values)
                 head = plan.instantiate(values, nulls.preview(plan.fresh, instance.active_epoch))

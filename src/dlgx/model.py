@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 
 @dataclass(frozen=True, slots=True)
@@ -290,23 +290,6 @@ class Instance:
 
     def facts_for(self, predicate: str) -> list[Atom]:
         return self._by_predicate.get(predicate, [])
-
-    def candidates(self, predicate: str, bound: Sequence[tuple[int, Term]]) -> list[Atom]:
-        """Facts of ``predicate`` matching the given (position, term) bindings.
-
-        Picks the most selective single-position index; callers still verify
-        the remaining positions.
-        """
-        if not bound:
-            return self.facts_for(predicate)
-        best: Optional[list[Atom]] = None
-        for i, t in bound:
-            lst = self.index.get((predicate, i, t))
-            if lst is None:
-                return []
-            if best is None or len(lst) < len(best):
-                best = lst
-        return best if best is not None else []
 
     def is_frozen(self, null: Null) -> bool:
         return null.epoch < self.active_epoch

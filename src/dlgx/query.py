@@ -16,8 +16,6 @@ from .chase import (
     ChaseRun,
     ChaseVariant,
     compile_body,
-    exists_homomorphism,
-    find_homomorphisms,
     group_by_predicate,
     ichase,
     oblivious,
@@ -30,7 +28,6 @@ from .model import (
     Null,
     Program,
     Term,
-    Variable,
     format_term,
     term_sort_key,
 )
@@ -117,19 +114,15 @@ def evaluate_query(
         return Answer(
             verdict=False, tuples=[] if query.output_vars else None, warnings=warnings
         )
+    plan = compile_body(query.atoms)
     if query.is_boolean:
-        hom = exists_homomorphism(query.atoms, instance)
-        if hom is None:
+        found = plan.evaluate(instance, limit=1)
+        if not found:
             return Answer(verdict=False)
-        witness = {v.name: t for v, t in hom.items() if isinstance(v, Variable)}
-        return Answer(verdict=True, witness=witness)
-    seen: set[tuple[Term, ...]] = set()
-    for hom in find_homomorphisms(query.atoms, instance):
-        row = tuple(hom[Variable(name)] for name in query.output_vars)
-        seen.add(row)
+        return Answer(verdict=True, witness=dict(zip(plan.slots, found.pop())))
     # stable sorts from the last column to the first leave the rows in term
     # order, column by column, with one small key per row alive at a time
-    rows = list(seen)
+    rows = list(plan.evaluate(instance, query.output_vars))
     for i in reversed(range(len(query.output_vars))):
         rows.sort(key=lambda row: term_sort_key(row[i]))
     return Answer(verdict=bool(rows), tuples=rows)
@@ -183,7 +176,7 @@ def answer_with_variant(
             # one gets facts, every match uses one of them
             if not all(instance.facts_for(p) for p in predicates):
                 return False
-            return bool(plan.matches(instance, group_by_predicate(new_facts), first=True))
+            return bool(plan.matches(instance, group_by_predicate(new_facts), limit=1))
 
         evaluated = Answer(verdict=False, warnings=_unknown_predicates(query, schema))
     else:

@@ -1,4 +1,7 @@
 import json
+import time
+import tracemalloc
+from collections import Counter
 from importlib import resources
 
 import jsonschema
@@ -34,6 +37,8 @@ from dlgx.model import (
     term_sort_key,
 )
 from dlgx.parser import parse_program
+
+import reference_matcher as reference
 
 
 def atom(pred: str, *syms) -> Atom:
@@ -123,6 +128,82 @@ class TestIsomorphicEmbedding:
         # once frozen the two nulls are distinct rigid symbols, not
         # interchangeable renaming targets
         assert not exists_isomorphic_embedding([atom("q", "a", n2)], instance)
+
+
+class TestCompiledBlockers:
+    """Blocker plans are cached by the head's shape, so heads that differ
+    only in their rigid terms share one plan."""
+
+    def blocks(self, head, instance):
+        homomorphism = exists_homomorphism(head, instance, free_nulls=True) is not None
+        isomorphism = exists_isomorphic_embedding(head, instance)
+        assert homomorphism == reference.maps_homomorphically(head, instance)
+        assert isomorphism == reference.embeds_isomorphically(head, instance)
+        return homomorphism, isomorphism
+
+    def test_mobile_null_repeated_across_head_atoms(self):
+        n, m1, m2 = Null(9, 0), Null(1, 0), Null(2, 0)
+        head = [atom("q", "a", n), atom("s", n, "b")]
+        joined = Instance.from_facts([atom("q", "a", m1), atom("s", m1, "b")])
+        split = Instance.from_facts([atom("q", "a", m1), atom("s", m2, "b")])
+        assert self.blocks(head, joined) == (True, True)
+        assert self.blocks(head, split) == (False, False)
+
+    def test_frozen_null_stays_rigid(self):
+        f1, f2 = Null(1, 0), Null(2, 0)
+        instance = Instance.from_facts([atom("q", f1, "a"), atom("q", f2, "b")])
+        # unfrozen, f1 maps onto f2
+        assert self.blocks([atom("q", f1, "b")], instance) == (True, True)
+        freeze_nulls(instance)
+        # frozen, it is a rigid term: the same shape finds q(f2, b), whose
+        # plan must not answer for q(f1, b)
+        assert self.blocks([atom("q", f2, "b")], instance) == (True, True)
+        assert self.blocks([atom("q", f1, "b")], instance) == (False, False)
+        assert self.blocks([atom("q", f1, "a")], instance) == (True, True)
+        # an unfrozen null of the next epoch may land on a frozen one
+        assert self.blocks([atom("q", Null(3, 1), "b")], instance) == (True, True)
+
+    def test_isomorphism_rejected_for_injectivity(self):
+        n1, n2, m = Null(8, 0), Null(9, 0), Null(1, 0)
+        head = [atom("q", n1), atom("r", n2)]
+        shared = Instance.from_facts([atom("q", m), atom("r", m)])
+        assert self.blocks(head, shared) == (True, False)
+        apart = Instance.from_facts([atom("q", m), atom("r", Null(2, 0))])
+        assert self.blocks(head, apart) == (True, True)
+
+    def test_isomorphism_rejected_for_a_constant_image(self):
+        n = Null(9, 0)
+        head = [atom("q", n), atom("r", n)]
+        constant_image = Instance.from_facts([atom("q", "c"), atom("r", "c")])
+        assert self.blocks(head, constant_image) == (True, False)
+
+
+def test_blockers_match_the_reference_on_generated_programs(monkeypatch):
+    import dlgx.chase as chase
+
+    verdicts = Counter()
+
+    def homomorphism(head, instance, **kwargs):
+        found = exists_homomorphism(head, instance, **kwargs)
+        assert (found is not None) == reference.maps_homomorphically(head, instance)
+        if found is not None:
+            assert all(fact in instance for fact in reference.image(head, found))
+        verdicts["homomorphism", found is not None] += 1
+        return found
+
+    def isomorphism(head, instance):
+        found = exists_isomorphic_embedding(head, instance)
+        assert found == reference.embeds_isomorphically(head, instance)
+        verdicts["isomorphism", found] += 1
+        return found
+
+    monkeypatch.setattr(chase, "exists_homomorphism", homomorphism)
+    monkeypatch.setattr(chase, "exists_isomorphic_embedding", isomorphism)
+    for seed in range(200):
+        program = generate_random_program(seed)
+        for variant in (pchase_r(2), ichase(2)):
+            run_chase(program, variant, max_steps=2000)
+    assert min(verdicts.values()) > 100, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +309,34 @@ def test_oblivious_needs_budget_on_recursive_existentials():
     assert run.fired_steps == 10
 
 
+# a cross-product body: level 3 alone has 738**3 - 9**3 matches
+CUBE = "p(a).\np(N) :- p(X), p(Z), p(Y)."
+
+
+def traced(call):
+    """``call()``'s result, CPU seconds and peak traced memory in bytes."""
+    tracemalloc.start()
+    try:
+        start = time.process_time()
+        result = call()
+        elapsed = time.process_time() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, elapsed, peak
+
+
+def test_oblivious_step_budget_bounds_enumeration():
+    # 1 + 7 + 721 steps fill levels 0-2; level 3 enumerates only one
+    # trigger past the 71 steps left, not its whole cube
+    run, elapsed, peak = traced(
+        lambda: run_chase(parse_program(CUBE), oblivious(), max_steps=800)
+    )
+    assert run.status == "step-limit-reached"
+    assert run.fired_steps == 800 and len(run.result) == 801
+    assert peak < 16 * 2**20 and elapsed < 5
+
+
 def test_oblivious_no_risk_on_plain_datalog():
     program = parse_program("e(a, b).\ne(b, c).\nt(X, Y) :- e(X, Y).\nt(X, Z) :- t(X, Y), e(Y, Z).")
     assert not has_nontermination_risk(program)
@@ -276,7 +385,7 @@ def test_trigger_enumeration_is_sorted_and_complete():
         "e(a, b).\ne(b, c).\nt(X, Y) :- e(X, Y)."
     )
     instance = Instance.from_facts(program.facts)
-    triggers = _level_triggers(program, instance, list(instance))
+    triggers = _level_triggers(rule_plans(program), instance, list(instance))
     assert len(triggers) == 2
     keys = [(rule_id, tuple(map(term_sort_key, values))) for rule_id, values in triggers]
     assert keys == sorted(keys)
@@ -286,41 +395,29 @@ def test_trigger_enumeration_is_sorted_and_complete():
 # Compiled join plans against a naive reference
 
 
-def reference_triggers(program, instance, delta):
-    """Every body homomorphism that uses at least one delta fact, found by
-    the general search, as sorted (rule id, values in variable-name order)."""
-    delta = set(delta)
-    found = set()
-    for rule in program.rules:
-        names = sorted({v.name for a in rule.body for v in a.variables()})
-        for hom in find_homomorphisms(rule.body, instance):
-            image = [Atom(a.predicate, [hom.get(t, t) for t in a.terms]) for a in rule.body]
-            if any(fact in delta for fact in image):
-                found.add((rule.id, tuple(hom[Variable(n)] for n in names)))
-    return sorted(found, key=lambda t: (t[0], tuple(map(term_sort_key, t[1]))))
+def rule_plans(program):
+    return sorted(map(compile_rule, program.rules), key=lambda plan: plan.rule_id)
 
 
-def checked_levels(monkeypatch):
-    """Make run_chase compare every level's triggers with the reference;
-    returns the list of levels checked."""
+def checked_run(monkeypatch, program, variant, levels, **kwargs):
+    """Run the chase with every level's triggers compared with the naive
+    reference matcher; appends each level's trigger count to ``levels``."""
     import dlgx.chase as chase
 
-    levels = []
-
-    def checked(program, instance, delta):
-        triggers = _level_triggers(program, instance, delta)
-        assert triggers == reference_triggers(program, instance, delta)
+    def checked(plans, instance, delta, limit):
+        triggers = _level_triggers(plans, instance, delta, limit)
+        assert triggers == reference.triggers(program.rules, instance, delta)
         levels.append(len(triggers))
         return triggers
 
     monkeypatch.setattr(chase, "_level_triggers", checked)
-    return levels
+    return run_chase(program, variant, **kwargs)
 
 
 def test_join_plans_match_the_reference_on_generated_programs(monkeypatch):
-    levels = checked_levels(monkeypatch)
+    levels = []
     for seed in range(200):
-        run_chase(generate_random_program(seed), pchase_r(2), max_steps=2000)
+        checked_run(monkeypatch, generate_random_program(seed), pchase_r(2), levels, max_steps=2000)
     assert len(levels) > 600 and sum(levels) > 1000
 
 
@@ -340,8 +437,8 @@ def test_join_plans_match_the_reference_on_generated_programs(monkeypatch):
     ],
 )
 def test_join_plan_fixtures_match_the_reference(monkeypatch, text):
-    levels = checked_levels(monkeypatch)
-    run_chase(parse_program(text), pchase_r(1))
+    levels = []
+    checked_run(monkeypatch, parse_program(text), pchase_r(1), levels)
     assert levels
 
 
@@ -433,17 +530,18 @@ def test_null_free_triggers_stay_blocked_after_a_freeze():
     checked = 0
     for seed in range(200):
         program = generate_random_program(seed)
-        plans = {rule.id: compile_rule(rule) for rule in program.rules}
+        plans = rule_plans(program)
+        plan_of = {plan.rule_id: plan for plan in plans}
         for variant in (pchase(), ichase()):
             run = run_chase(program, variant, max_steps=3000)
             if run.status != "fixpoint":
                 continue
             inst = run.result
             freeze_nulls(inst)
-            for rule_id, values in _level_triggers(program, inst, list(inst)):
+            for rule_id, values in _level_triggers(plans, inst, list(inst)):
                 if any(isinstance(t, Null) for t in values):
                     continue
-                plan = plans[rule_id]
+                plan = plan_of[rule_id]
                 fresh = [Null(10**9 + k, inst.active_epoch) for k in range(plan.fresh)]
                 head = plan.instantiate(values, fresh)
                 assert blocked(variant.blocker, head, inst), (seed, str(variant), rule_id)

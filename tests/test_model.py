@@ -119,17 +119,6 @@ def test_instance_set_semantics():
     assert len(inst) == 1
 
 
-def test_instance_candidates_use_most_selective_index():
-    inst = Instance()
-    inst.add(Atom("p", [constant("a"), constant("b")]))
-    inst.add(Atom("p", [constant("a"), constant("c")]))
-    only_b = inst.candidates("p", [(1, constant("b"))])
-    assert only_b == [Atom("p", [constant("a"), constant("b")])]
-    both = inst.candidates("p", [(0, constant("a"))])
-    assert len(both) == 2
-    assert inst.candidates("p", [(0, constant("zzz"))]) == []
-
-
 def test_freeze_nulls_marks_prior_epochs():
     inst = Instance()
     inst.add(Atom("p", [Null(1, 0)]))

@@ -1,10 +1,12 @@
 import json
+import time
+import tracemalloc
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from dlgx.chase import find_homomorphisms, ichase, oblivious, pchase, pchase_r, run_chase
+from dlgx.chase import ichase, oblivious, pchase, pchase_r, run_chase
 from dlgx.generator import generate_random_program, generate_random_query
 from dlgx.model import Atom, Instance, Null, Variable, constant
 from dlgx.parser import parse_program, parse_query
@@ -17,6 +19,8 @@ from dlgx.query import (
     differential_bcqa,
     evaluate_query,
 )
+
+import reference_matcher as reference
 
 TWO_PATH = """\
 n(a).
@@ -144,6 +148,33 @@ class TestEvaluateQuery:
             if before.verdict:
                 assert after.verdict
 
+    def test_answers_match_the_reference_on_generated_pairs(self):
+        """Verdicts, witnesses and answer sets of criterion 4's queries,
+        against the naive reference matcher, on final chase instances."""
+        checked = true = 0
+        for seed in range(200):
+            program = generate_random_program(seed)
+            query = generate_random_query(program, (seed + 1) * 31 + 7)
+            names = tuple(dict.fromkeys(v.name for a in query.atoms for v in a.variables()))
+            for variant in (pchase_r(2), ichase()):
+                instance = run_chase(program, variant, max_steps=2000).result
+                context = (seed, str(variant))
+                boolean = evaluate_query(query, instance)
+                assert boolean.verdict == reference.holds(query.atoms, instance), context
+                if boolean.verdict:
+                    assert set(boolean.witness) == set(names), context
+                    mapping = {Variable(n): t for n, t in boolean.witness.items()}
+                    image = reference.image(query.atoms, mapping)
+                    assert all(fact in instance for fact in image), context
+                    true += 1
+                if names:
+                    rows = evaluate_query(Query(query.atoms, names), instance)
+                    expected = reference.answers(query.atoms, names, instance)
+                    assert rows.tuples == expected, context
+                    assert rows.verdict == bool(expected), context
+                checked += 1
+        assert checked == 400 and true > 100
+
 
 def test_default_resumptions_is_atom_count():
     program = parse_program(TWO_PATH)
@@ -264,7 +295,7 @@ class TestEarlyStop:
 
     def test_delta_check_matches_the_reference_on_generated_pairs(self, monkeypatch):
         """On every level, the query holds on the level's new facts iff some
-        homomorphism found by the general search maps an atom onto one."""
+        match found by the naive reference matcher maps an atom onto one."""
         import dlgx.query
 
         levels = []
@@ -273,12 +304,12 @@ class TestEarlyStop:
             def level(instance, new_facts):
                 holds = on_level(instance, new_facts)
                 new = set(new_facts)
-                reference = any(
-                    Atom(a.predicate, [hom.get(t, t) for t in a.terms]) in new
-                    for hom in find_homomorphisms(query.atoms, instance)
-                    for a in query.atoms
+                expected = any(
+                    fact in new
+                    for mapping in reference.homomorphisms(query.atoms, instance)
+                    for fact in reference.image(query.atoms, mapping)
                 )
-                assert holds == reference, (seed, [str(f) for f in new_facts])
+                assert holds == expected, (seed, [str(f) for f in new_facts])
                 levels.append(holds)
                 return False  # keep chasing, so every later level is checked too
 
@@ -311,6 +342,30 @@ class TestDifferentialBcqa:
         assert ob.verdict is True and ob.chase_status == "step-limit-reached"
         protected = [a for a in report.assertions if a.name.startswith("protected")]
         assert protected[0].result == "holds"
+
+    def test_oblivious_oracle_on_a_cube_stays_within_its_budget(self):
+        # the oracle's level 3 has 738**3 - 9**3 matches; it enumerates
+        # only one past the steps left in the default budget
+        program = parse_program("p(a).\np(N) :- p(X), p(Z), p(Y).")
+        query = q("?- p(b).", program)
+        tracemalloc.start()
+        try:
+            start = time.process_time()
+            report = differential_bcqa(program, query)
+            elapsed = time.process_time() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        steps = {
+            name: (a.verdict, a.chase_status, a.chase_steps) for name, a in report.answers.items()
+        }
+        assert steps == {
+            "pchase-r": (False, "fixpoint", 0),
+            "ichase": (False, "fixpoint", 1),
+            "oblivious": (False, "step-limit-reached", 10_000),
+        }
+        assert report.status == "agreement"
+        assert peak < 32 * 2**20 and elapsed < 5
 
     def test_budget_too_small_is_inconclusive(self):
         program = parse_program(TWO_PATH)

@@ -46,7 +46,6 @@ from .chase import (
     compare_chase_containment,
     exists_homomorphism,
     exists_isomorphic_embedding,
-    find_homomorphisms,
     ichase,
     oblivious,
     parse_variant,
@@ -138,7 +137,6 @@ __all__ = [
     "evaluate_query",
     "exists_homomorphism",
     "exists_isomorphic_embedding",
-    "find_homomorphisms",
     "format_instance",
     "freeze_nulls",
     "generate_doctors_like",

@@ -57,18 +57,16 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .analysis import compute_affected
 from .model import (
     Atom,
     Instance,
     Null,
-    NullFactory,
     Position,
     Program,
     Rule,
-    Substitution,
     Term,
     Variable,
     format_term,
@@ -219,8 +217,8 @@ class RulePlan:
 
     ``body`` matches the rule's body.  ``head`` gives, per head atom, an
     index into the environment ``values + fresh nulls + head constants``:
-    a slot, an existential (in sorted-name order, as the null factory
-    mints them) or a constant.
+    a slot, an existential (in sorted-name order, as the chase mints
+    their nulls) or a constant.
     """
 
     rule_id: int
@@ -389,7 +387,7 @@ def _projection(slots: Sequence[int]) -> Callable[[list], tuple]:
 
 
 # ---------------------------------------------------------------------------
-# Patterns: blockers, containment and the public homomorphism helpers
+# Patterns: blockers and containment
 #
 # A pattern's mobile terms, which a mapping may send elsewhere, become
 # slots 0, 1, ...; its k-th rigid term becomes slot -k, read from the end
@@ -403,73 +401,43 @@ def compile_pattern(shape: tuple[tuple[str, tuple], ...]) -> Join:
 
 
 def _bind(
-    pattern: Sequence[Atom], nulls_from: int, variables: bool, initial: Substitution
+    pattern: Sequence[Atom], nulls_from: int, variables: bool
 ) -> tuple[Join, list, list[Term]]:
     """The plan for ``pattern``, its starting values and its mobile terms:
-    nulls of epoch ``nulls_from`` on, and variables with ``variables``,
-    unless ``initial`` binds them."""
+    nulls of epoch ``nulls_from`` on, and variables with ``variables``."""
     slot_of: dict[Term, int] = {}
     rigid: list[Term] = []
     shape = []
     for atom in pattern:
         codes = []
         for t in atom.terms:
-            mobile = isinstance(t, Null) and t.epoch >= nulls_from or (
+            if isinstance(t, Null) and t.epoch >= nulls_from or (
                 variables and isinstance(t, Variable)
-            )
-            if mobile and t not in initial:
+            ):
                 codes.append(slot_of.setdefault(t, len(slot_of)))
             else:
-                rigid.append(initial[t] if mobile else t)
+                rigid.append(t)
                 codes.append(-len(rigid))
         shape.append((atom.predicate, tuple(codes)))
     values = [None] * len(slot_of) + rigid[::-1]
     return compile_pattern(tuple(shape)), values, list(slot_of)
 
 
-def _mappings(
-    pattern: Sequence[Atom],
-    target: Instance,
-    free_nulls: bool,
-    initial: Optional[Substitution],
-    limit: int,
-) -> list[dict[Term, Term]]:
-    initial = initial or {}
-    nulls_from = target.active_epoch if free_nulls else _ALL
-    join, values, mobile = _bind(pattern, nulls_from, True, initial)
-    found = _search(join, values, target, limit=limit)
-    rows = sorted(found, key=_sort_key) if len(found) > 1 else found
-    return [{**initial, **dict(zip(mobile, row))} for row in rows]
-
-
-def find_homomorphisms(
-    pattern: Sequence[Atom],
-    target: Instance,
-    *,
-    free_nulls: bool = False,
-    initial: Optional[Substitution] = None,
-) -> Iterator[dict[Term, Term]]:
-    """All mappings sending every pattern atom onto a fact of ``target``,
-    in the term order of their images.
+def exists_homomorphism(
+    pattern: Sequence[Atom], target: Instance, *, free_nulls: bool = False
+) -> Optional[dict[Term, Term]]:
+    """A mapping sending every pattern atom onto a fact of ``target``, or
+    None.
 
     Variables are always free.  With ``free_nulls`` the pattern's
     unfrozen nulls are free as well (they may land on constants or
-    nulls); frozen nulls and constants are rigid.  Each mapping also
-    holds ``initial``, whose bindings the mapping keeps.
+    nulls); frozen nulls and constants are rigid.
     """
-    return iter(_mappings(pattern, target, free_nulls, initial, _ALL))
-
-
-def exists_homomorphism(
-    pattern: Sequence[Atom],
-    target: Instance,
-    *,
-    free_nulls: bool = False,
-    initial: Optional[Substitution] = None,
-) -> Optional[dict[Term, Term]]:
-    """One mapping as :func:`find_homomorphisms` gives them, or None."""
-    found = _mappings(pattern, target, free_nulls, initial, 1)
-    return found[0] if found else None
+    nulls_from = target.active_epoch if free_nulls else _ALL
+    join, values, mobile = _bind(pattern, nulls_from, True)
+    for row in _search(join, values, target, limit=1):
+        return dict(zip(mobile, row))
+    return None
 
 
 def exists_isomorphic_embedding(fact_set: Sequence[Atom], target: Instance) -> bool:
@@ -479,7 +447,7 @@ def exists_isomorphic_embedding(fact_set: Sequence[Atom], target: Instance) -> b
     injective null-to-null assignment, so its inverse is a homomorphism
     from the image back onto ``fact_set``.
     """
-    join, values, mobile = _bind(fact_set, target.active_epoch, False, {})
+    join, values, mobile = _bind(fact_set, target.active_epoch, False)
     n = len(mobile)
 
     def injective_on_nulls(values: list) -> Optional[tuple]:
@@ -495,12 +463,9 @@ def _sort_key(values: tuple[Term, ...]) -> tuple:
     return tuple(map(term_sort_key, values))
 
 
-def fire_trigger(
-    head: Sequence[Atom], instance: Instance, nulls: NullFactory, fresh: int
-) -> list[Atom]:
-    """Apply a trigger: add its instantiated head, which used the next
-    ``fresh`` nulls of ``nulls``, and return the facts that were new."""
-    nulls.counter += fresh
+def fire_trigger(head: Sequence[Atom], instance: Instance) -> list[Atom]:
+    """Apply a trigger: add its instantiated head and return the facts
+    that were new."""
     return [fact for fact in head if instance.add(fact)]
 
 
@@ -605,6 +570,18 @@ def _level_triggers(
     return out
 
 
+# blocker -> does it block this instantiated head?  Each test looks its
+# search up in the module when called, so a wrapper put in its place
+# sees every call.
+_BLOCKS: dict[Optional[str], Callable[[list[Atom], Instance], bool]] = {
+    None: lambda head, instance: False,
+    HOMOMORPHISM: lambda head, instance: (
+        exists_homomorphism(head, instance, free_nulls=True) is not None
+    ),
+    ISOMORPHISM: lambda head, instance: exists_isomorphic_embedding(head, instance),
+}
+
+
 def run_chase(
     program: Program,
     variant: ChaseVariant,
@@ -615,15 +592,20 @@ def run_chase(
 ) -> ChaseRun:
     """Execute one chase variant over the program's facts.
 
-    ``max_steps`` bounds the number of *fired* steps across all epochs.
-    Without a blocker every trigger fires, so a level's enumeration stops
-    one trigger past the steps left: a budgeted oblivious run's work and
-    memory are bounded by its budget.  Such a cut level fires the least
-    of the triggers it found, not always the least of the whole level.
+    ``max_steps`` bounds the number of *fired* steps across all epochs;
+    a negative budget is a ValueError.  Without a blocker every trigger
+    fires, so a level's enumeration stops one trigger past the steps
+    left: a budgeted oblivious run's work and memory are bounded by its
+    budget.  Such a cut level fires the least of the triggers it found,
+    not always the least of the whole level.
 
-    An epoch that blocks no trigger ends the run: the next epoch would
-    block every trigger on that trigger's own output, so it could add
-    nothing.
+    Only the first epoch can end the run by blocking nothing: a further
+    epoch would block every trigger on that trigger's own output, so it
+    could add nothing.  Once the first epoch has blocked a trigger, every
+    resumption runs: the first epoch's first level used input facts
+    only, so a null-free trigger came up, and each resumption re-blocks
+    it (see the module docstring) though it no longer enumerates it, so
+    the trace has no record of it.
 
     ``on_level(instance, new_facts)`` is called once with the input facts
     before any trigger, after every level with the facts that level added,
@@ -634,59 +616,46 @@ def run_chase(
     the step budget gets no call.  Without ``on_level`` a run ends at a
     fixpoint or at the step budget.
 
-    A resumption considers only the triggers that use a fact holding a
-    null (see the module docstring), so the trace has no record of the
-    null-free triggers it re-blocks.  They still count as blocked: once
-    one has come up, no resumption ends the run for blocking nothing.
-
     Past an epoch's first level, every trigger uses a fact that the level
     before added, so no trigger comes up twice in one epoch.
     """
+    if max_steps is not None and max_steps < 0:
+        raise ValueError(f"the step budget must be >= 0, got {max_steps}")
     blocker = variant.blocker
     if blocker is None and max_steps is None and has_nontermination_risk(program):
         raise NonTerminationRiskError(
             "oblivious chase on a recursive existential program may not "
             "terminate; rerun with a step budget (--max-steps)"
         )
+    blocks = _BLOCKS[blocker]
     plans = sorted(map(compile_rule, program.rules), key=lambda p: p.rule_id)
     plan_of = {plan.rule_id: plan for plan in plans}
     instance = Instance.from_facts(program.facts)
-    nulls = NullFactory()
     records: Optional[list[TraceRecord]] = [] if trace else None
     fired_steps = 0
+    minted = 0  # nulls minted so far; the next one is numbered minted + 1
+    blocked = 0
     resumptions_used = 0
     status = FIXPOINT
     delta: Sequence[Atom] = list(instance)
     if on_level is not None and on_level(instance, delta):
         status = QUERY_SATISFIED
     level = 0
-    # has a trigger with null-free values come up?  A resumption would
-    # re-block it, though it no longer enumerates it
-    null_free_seen = False
 
     for epoch in range(variant.resumptions + 1):
-        blocked = 0
         if epoch > 0:
             freeze_nulls(instance)
             resumptions_used += 1
             delta = [f for f in instance if any(isinstance(t, Null) for t in f.terms)]
-            blocked = int(null_free_seen)
         while delta and status == FIXPOINT:
             added: list[Atom] = []
             # without a blocker, one trigger past the budget left ends the run
             limit = _ALL if blocker or max_steps is None else max_steps - fired_steps + 1
             for rule_id, values in _level_triggers(plans, instance, delta, limit):
                 plan = plan_of[rule_id]
-                if not null_free_seen:
-                    null_free_seen = not any(isinstance(t, Null) for t in values)
-                head = plan.instantiate(values, nulls.preview(plan.fresh, instance.active_epoch))
-                block = None
-                if blocker == ISOMORPHISM:
-                    if exists_isomorphic_embedding(head, instance):
-                        block = blocker
-                elif blocker is not None:
-                    if exists_homomorphism(head, instance, free_nulls=True) is not None:
-                        block = blocker
+                fresh = [Null(minted + k + 1, instance.active_epoch) for k in range(plan.fresh)]
+                head = plan.instantiate(values, fresh)
+                block = blocker if blocks(head, instance) else None
                 if block is None and max_steps is not None and fired_steps >= max_steps:
                     status = STEP_LIMIT
                     break
@@ -699,7 +668,8 @@ def run_chase(
                 if block is not None:
                     blocked += 1
                     continue
-                added.extend(fire_trigger(head, instance, nulls, plan.fresh))
+                added.extend(fire_trigger(head, instance))
+                minted += plan.fresh
                 fired_steps += 1
             delta = added
             level += 1
@@ -709,7 +679,7 @@ def run_chase(
             break
         if on_level is not None and on_level(instance, []):
             break
-        if not blocked:  # a resumption would re-block every trigger
+        if not blocked:  # the first epoch blocked nothing: see the docstring
             break
     return ChaseRun(
         variant=variant,

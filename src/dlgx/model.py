@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,7 +68,8 @@ def format_term(term: Term) -> str:
     if isinstance(term, Constant):
         if _BARE_CONSTANT.match(term.symbol):
             return term.symbol
-        escaped = term.symbol.replace("\\", "\\\\").replace('"', '\\"')
+        # a raw newline would end the string; backslash-newline reads back as one
+        escaped = term.symbol.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\\n")
         return f'"{escaped}"'
     if isinstance(term, Null):
         return f"_:e{term.epoch}n{term.counter}"
@@ -104,10 +105,6 @@ class Atom:
             if isinstance(t, Null):
                 yield t
 
-    @property
-    def is_ground(self) -> bool:
-        return not any(isinstance(t, Variable) for t in self.terms)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Atom)
@@ -128,11 +125,6 @@ class Atom:
 
 def format_atom(atom: Atom) -> str:
     return f"{atom.predicate}({', '.join(format_term(t) for t in atom.terms)})"
-
-
-# A substitution maps variables (and, in null-mapping homomorphism checks,
-# nulls) to constants or nulls.  It is the identity on constants.
-Substitution = Mapping[Term, Term]
 
 
 @dataclass(frozen=True)
@@ -204,7 +196,7 @@ class SchemaError(ValueError):
 
 @dataclass(frozen=True)
 class Program:
-    """A rule set plus an initial database of ground facts."""
+    """A rule set plus a starting database of ground facts."""
 
     rules: tuple[Rule, ...]
     facts: tuple[Atom, ...] = ()
@@ -291,8 +283,6 @@ class Instance:
     def facts_for(self, predicate: str) -> list[Atom]:
         return self._by_predicate.get(predicate, [])
 
-    def is_frozen(self, null: Null) -> bool:
-        return null.epoch < self.active_epoch
 
 def freeze_nulls(instance: Instance) -> None:
     """Start a new resumption epoch in place: existing nulls become rigid.
@@ -307,21 +297,3 @@ def format_instance(instance: Instance) -> str:
     """Canonical dump: one ``fact.`` line per fact, lexicographically sorted."""
     lines = sorted(f"{format_atom(f)}." for f in instance)
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-class NullFactory:
-    """Deterministic source of fresh nulls; the counter is global per run."""
-
-    __slots__ = ("counter",)
-
-    def __init__(self) -> None:
-        self.counter = 0
-
-    def preview(self, count: int, epoch: int) -> list[Null]:
-        """Nulls the next ``take`` would produce, without consuming them."""
-        return [Null(self.counter + k + 1, epoch) for k in range(count)]
-
-    def take(self, count: int, epoch: int) -> list[Null]:
-        fresh = self.preview(count, epoch)
-        self.counter += count
-        return fresh

@@ -10,7 +10,7 @@ Grammar, one statement per '.':
     Y                                      % optional last line: output variables
 
 Identifiers starting with an uppercase letter are variables; everything
-else (lowercase-initial, numeric, or double-quoted) is a constant.  Head
+else (starting lowercase, numeric, or double-quoted) is a constant.  Head
 variables that do not occur in the body are existential.
 """
 from __future__ import annotations

@@ -215,6 +215,11 @@ class TestChase:
         )
         assert rc == 2
 
+    def test_negative_step_budget_exits_2(self, two_path, capsys):
+        rc = main(["chase", "--program", two_path, "--variant", "pchase", "--max-steps", "-3"])
+        assert rc == 2
+        assert "error: the step budget must be >= 0" in capsys.readouterr().err
+
 
 class TestQuery:
     def test_true_query_exits_0_with_witness(self, tmp_path, two_path, capsys):
@@ -318,6 +323,12 @@ class TestQuery:
         assert "verdict: false" in out
         assert "ghost" in out and "warning" in out
 
+    def test_negative_step_budget_exits_2(self, tmp_path, two_path, capsys):
+        query = write(tmp_path, "q.query", "?- e(X, Y).")
+        rc = main(["query", "--program", two_path, "--query", query, "--max-steps", "-3"])
+        assert rc == 2
+        assert "error: the step budget must be >= 0" in capsys.readouterr().err
+
 
 class TestDiff:
     def test_agreement_exits_0(self, tmp_path, two_path, capsys):
@@ -355,6 +366,12 @@ class TestDiff:
         # the witnessing instances land on stderr for inspection
         assert "pchase-r" in captured.err and "ichase" in captured.err
         assert "mid2(" in captured.err
+
+    def test_negative_step_budget_exits_2(self, tmp_path, two_path, capsys):
+        query = write(tmp_path, "q.query", "?- e(X, Y).")
+        rc = main(["diff", "--program", two_path, "--query", query, "--max-steps", "-3"])
+        assert rc == 2
+        assert "error: the step budget must be >= 0" in capsys.readouterr().err
 
 
 class TestBench:

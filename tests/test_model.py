@@ -5,7 +5,6 @@ from dlgx.model import (
     Constant,
     Instance,
     Null,
-    NullFactory,
     Position,
     Program,
     Rule,
@@ -56,7 +55,6 @@ def test_atom_basics():
     a = Atom("p", [constant("a"), Variable("X")])
     assert a.predicate == "p"
     assert a.arity == 2
-    assert not a.is_ground
     assert set(a.variables()) == {Variable("X")}
     assert Atom("p", [constant("a"), Variable("X")]) == a
     assert hash(Atom("p", [constant("a"), Variable("X")])) == hash(a)
@@ -123,11 +121,8 @@ def test_freeze_nulls_marks_prior_epochs():
     inst = Instance()
     inst.add(Atom("p", [Null(1, 0)]))
     assert inst.active_epoch == 0
-    assert not inst.is_frozen(Null(1, 0))
     freeze_nulls(inst)
     assert inst.active_epoch == 1
-    assert inst.is_frozen(Null(1, 0))
-    assert not inst.is_frozen(Null(2, 1))
 
 
 def test_format_instance_is_sorted_and_stable():
@@ -135,12 +130,3 @@ def test_format_instance_is_sorted_and_stable():
     inst.add(Atom("q", [constant("b")]))
     inst.add(Atom("p", [constant("a"), Null(1)]))
     assert format_instance(inst) == "p(a, _:e0n1).\nq(b).\n"
-
-
-def test_null_factory_preview_does_not_consume():
-    nf = NullFactory()
-    first = nf.preview(2, 0)
-    assert first == nf.preview(2, 0)
-    taken = nf.take(2, 0)
-    assert taken == first
-    assert nf.preview(1, 0) != [first[0]]

@@ -123,5 +123,22 @@ def test_parser_outputs_match_golden():
     assert not changed, f"{len(changed)} outputs changed, first: {changed[:3]}"
 
 
+def test_printed_text_parses_back_to_the_same_value():
+    # quoted constants may hold a newline, from an escape or a CSV cell
+    parsed = 0
+    for program_text, query_text in corpus():
+        for parse, printer, text in (
+            (parse_program, print_program, program_text),
+            (lambda t: parse_query(t, schema=SCHEMA), print_query, query_text),
+        ):
+            try:
+                value = parse(text)
+            except ParseError:
+                continue
+            assert parse(printer(value)) == value, text
+            parsed += 1
+    assert parsed == 207
+
+
 if __name__ == "__main__":
     GOLDEN.write_text("\n".join(compute_outputs()) + "\n", encoding="utf-8")

@@ -205,6 +205,15 @@ def test_load_facts_csv(tmp_path):
     ]
 
 
+def test_load_facts_csv_newline_cell_round_trips(tmp_path):
+    path = tmp_path / "owns.csv"
+    path.write_text('"line one\nline two",acme\n', encoding="utf-8")
+    facts = load_facts_csv("owns", str(path))
+    assert facts == [Atom("owns", [constant("line one\nline two"), constant("acme")])]
+    program = parse_program("").with_facts(facts)
+    assert parse_program(print_program(program)) == program
+
+
 def test_load_facts_csv_header_flag(tmp_path):
     path = tmp_path / "owns.csv"
     path.write_text("person,company\nalice,acme\n", encoding="utf-8")

@@ -1,5 +1,7 @@
+import hashlib
 import json
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -31,6 +33,20 @@ HARMFUL_SELF_JOIN = """\
 i1(X, Y) :- e1(X).
 i2(X, Z) :- i1(X, Y), i1(Z, Y).
 """
+
+# Two dangerous head variables in different body atoms, both attacked by
+# the one existential N: the only fixture that reaches S2.
+SHARED_ATTACKER = """\
+s(a).
+p(X, N) :- s(X).
+h(Y, W) :- p(A, Y), p(B, W).
+"""
+
+# One SHA-256 per program of its analysis report's JSON: generator seeds
+# 0-999, then SHARED_ATTACKER.  Regenerate (only when a report is meant
+# to change) with ``PYTHONPATH=src python tests/test_analysis.py``.
+REPORT_DIGESTS = Path(__file__).parent / "golden" / "analysis_reports.sha256"
+REPORT_SEEDS = range(1000)
 
 
 def pos(p: str, i: int) -> Position:
@@ -111,6 +127,22 @@ class TestHarmfulSelfJoinFixture:
         y = report.rules[1].variables["Y"]
         assert y.cls == ATTACKED_HARMFUL
         assert not y.dangerous  # it never reaches the head
+
+
+def test_shared_attacker_across_body_atoms_fails_s2():
+    report = analyze(parse_program(SHARED_ATTACKER))
+    assert (report.verdicts.shy, report.verdicts.warded, report.verdicts.protected) == (
+        False,
+        False,
+        False,
+    )
+    assert [(v.rule_id, v.condition, v.variables) for v in report.verdicts.violations] == [
+        (1, "P2", ("W", "Y")),
+        (1, "S2", ("W", "Y")),
+        (1, "W1", ("W", "Y")),
+    ]
+    s2 = report.verdicts.violations[1]
+    assert s2.explanation.endswith("share attacker r0.N")
 
 
 def test_plain_datalog_is_in_every_fragment():
@@ -251,3 +283,29 @@ def test_harmful_joins_in_rules_and_query():
     query = parse_query("?- i1(A, N), i2(A, B).", schema=program.schema)
     assert harmful_joins(program, query) == [(1, "Y")]
     assert harmful_joins(parse_program(SPLIT_SOURCES)) == []
+
+
+def report_digest(program: Program) -> str:
+    payload = json.dumps(analyze(program).to_json_dict(), sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def compute_report_digests() -> list[str]:
+    """One ``label digest`` line per program, seeds ascending."""
+    lines = [
+        f"{seed} {report_digest(generate_random_program(seed))}" for seed in REPORT_SEEDS
+    ]
+    lines.append(f"shared-attacker {report_digest(parse_program(SHARED_ATTACKER))}")
+    return lines
+
+
+def test_analysis_reports_match_their_digests():
+    expected = REPORT_DIGESTS.read_text().splitlines()
+    actual = compute_report_digests()
+    assert len(actual) == len(expected) == len(REPORT_SEEDS) + 1
+    changed = [a.split(" ", 1)[0] for a, e in zip(actual, expected) if a != e]
+    assert not changed, f"{len(changed)} reports changed, first: {changed[:5]}"
+
+
+if __name__ == "__main__":
+    REPORT_DIGESTS.write_text("\n".join(compute_report_digests()) + "\n")

@@ -8,6 +8,13 @@ A position is *invaded* by a specific existential variable when the
 propagation can be traced back to that variable alone; invaded positions
 are always affected.
 
+Both fixpoints start from the same seeds (the head position of each
+existential variable) and apply the same propagation steps (a frontier
+variable's head position, reached once all of its body positions are),
+built once per call.  They stay two computations, so that
+:func:`analyze`'s check that every invaded position is affected compares
+two independent results instead of restating one.
+
 Per rule, a body variable is
   - harmless          if at least one of its body occurrences is unaffected,
   - attacked-harmful  if some single existential variable invades every
@@ -18,14 +25,13 @@ A non-harmless variable that also occurs in the head is *dangerous*.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .model import (
     Atom,
     ExistentialVarId,
     Position,
     Program,
-    Rule,
     Variable,
 )
 
@@ -137,29 +143,39 @@ def _body_occurrences(body: Sequence[Atom]) -> dict[str, list[tuple[int, Positio
     return occ
 
 
-def compute_affected(program: Program) -> frozenset[Position]:
-    """Least fixpoint of the affected-position rules over the whole program."""
-    affected: set[Position] = set()
+def _propagation(
+    program: Program,
+) -> tuple[list[tuple[Position, ExistentialVarId]], list[tuple[Position, list[Position]]]]:
+    """The seeds (the head position of each existential variable, with
+    that variable) and the propagation steps (the head position of each
+    frontier variable, with that variable's body positions)."""
+    seeds: list[tuple[Position, ExistentialVarId]] = []
+    steps: list[tuple[Position, list[Position]]] = []
     for rule in program.rules:
+        occ = _body_occurrences(rule.body)
         for atom in rule.head:
             for i, t in enumerate(atom.terms):
-                if isinstance(t, Variable) and t.name in rule.existential_vars:
-                    affected.add(Position(atom.predicate, i + 1))
+                if not isinstance(t, Variable):
+                    continue
+                pos = Position(atom.predicate, i + 1)
+                if t.name in rule.existential_vars:
+                    seeds.append((pos, ExistentialVarId(rule.id, t.name)))
+                else:
+                    steps.append((pos, [p for _, p in occ[t.name]]))
+    return seeds, steps
+
+
+def compute_affected(program: Program) -> frozenset[Position]:
+    """Least fixpoint of the affected-position rules over the whole program."""
+    seeds, steps = _propagation(program)
+    affected = {pos for pos, _ in seeds}
     changed = True
     while changed:
         changed = False
-        for rule in program.rules:
-            occ = _body_occurrences(rule.body)
-            for atom in rule.head:
-                for i, t in enumerate(atom.terms):
-                    if not isinstance(t, Variable) or t.name not in rule.frontier:
-                        continue
-                    positions = [p for _, p in occ[t.name]]
-                    if all(p in affected for p in positions):
-                        pos = Position(atom.predicate, i + 1)
-                        if pos not in affected:
-                            affected.add(pos)
-                            changed = True
+        for pos, sources in steps:
+            if pos not in affected and all(p in affected for p in sources):
+                affected.add(pos)
+                changed = True
     return frozenset(affected)
 
 
@@ -190,47 +206,28 @@ def harmful_joins(
 
 def compute_invaded(program: Program) -> dict[Position, frozenset[ExistentialVarId]]:
     """Which existential variables invade which positions (least fixpoint)."""
+    seeds, steps = _propagation(program)
     invaded: dict[Position, set[ExistentialVarId]] = {}
-
-    def invaders_of(pos: Position) -> set[ExistentialVarId]:
-        return invaded.setdefault(pos, set())
-
-    for rule in program.rules:
-        for atom in rule.head:
-            for i, t in enumerate(atom.terms):
-                if isinstance(t, Variable) and t.name in rule.existential_vars:
-                    invaders_of(Position(atom.predicate, i + 1)).add(
-                        ExistentialVarId(rule.id, t.name)
-                    )
-    all_invaders = {e for s in invaded.values() for e in s}
+    for pos, invader in seeds:
+        invaded.setdefault(pos, set()).add(invader)
     changed = True
     while changed:
         changed = False
-        for rule in program.rules:
-            occ = _body_occurrences(rule.body)
-            for atom in rule.head:
-                for i, t in enumerate(atom.terms):
-                    if not isinstance(t, Variable) or t.name not in rule.frontier:
-                        continue
-                    positions = [p for _, p in occ[t.name]]
-                    for invader in all_invaders:
-                        if all(invader in invaded.get(p, ()) for p in positions):
-                            pos = Position(atom.predicate, i + 1)
-                            if invader not in invaders_of(pos):
-                                invaded[pos].add(invader)
-                                changed = True
+        for pos, sources in steps:
+            common = set.intersection(*(invaded.get(p, set()) for p in sources))
+            known = invaded.setdefault(pos, set())
+            if not common <= known:
+                known |= common
+                changed = True
     return {pos: frozenset(inv) for pos, inv in invaded.items() if inv}
 
 
 def classify_variables(
     program: Program,
-    affected: Optional[frozenset[Position]] = None,
-    invaded: Optional[dict[Position, frozenset[ExistentialVarId]]] = None,
+    affected: frozenset[Position],
+    invaded: dict[Position, frozenset[ExistentialVarId]],
 ) -> list[RuleClassification]:
-    if affected is None:
-        affected = compute_affected(program)
-    if invaded is None:
-        invaded = compute_invaded(program)
+    """One classification per rule, in rule order."""
     out = []
     for rule in program.rules:
         occ = _body_occurrences(rule.body)
@@ -243,10 +240,9 @@ def classify_variables(
                 attackers: frozenset[ExistentialVarId] = frozenset()
                 cls = HARMLESS
             else:
-                common = set(invaded.get(positions[0], frozenset()))
-                for p in positions[1:]:
-                    common &= invaded.get(p, frozenset())
-                attackers = frozenset(common)
+                attackers = frozenset.intersection(
+                    *(invaded.get(p, frozenset()) for p in positions)
+                )
                 cls = ATTACKED_HARMFUL if attackers else PROTECTED_HARMFUL
             infos[name] = VariableInfo(
                 name=name,
@@ -259,22 +255,14 @@ def classify_variables(
     return out
 
 
-def _head_var_names(rule: Rule) -> frozenset[str]:
-    return frozenset(v.name for a in rule.head for v in a.variables())
-
-
 def check_shy(
-    program: Program, classifications: Optional[list[RuleClassification]] = None
+    program: Program, classifications: list[RuleClassification]
 ) -> tuple[bool, list[Violation]]:
     """Shyness: joins only on non-attacked variables (S1), and no pair of
-    head-occurring harmful variables in different body atoms shares an
-    attacker (S2)."""
-    if classifications is None:
-        classifications = classify_variables(program)
+    dangerous variables in different body atoms shares an attacker (S2)."""
     violations: list[Violation] = []
-    by_id = {rc.rule_id: rc for rc in classifications}
-    for rule in program.rules:
-        infos = by_id[rule.id].variables
+    for rule, rc in zip(program.rules, classifications):
+        infos = rc.variables
         for name in sorted(infos):
             info = infos[name]
             if len(info.atom_indexes) > 1 and info.attackers:
@@ -291,13 +279,10 @@ def check_shy(
                         ),
                     )
                 )
-        head_vars = _head_var_names(rule)
-        names = sorted(n for n in infos if n in head_vars)
+        names = sorted(n for n, info in infos.items() if info.dangerous)
         for i, v1 in enumerate(names):
             for v2 in names[i + 1 :]:
                 a, b = infos[v1], infos[v2]
-                if a.cls == HARMLESS or b.cls == HARMLESS:
-                    continue
                 common = a.attackers & b.attackers
                 if not common:
                     continue
@@ -321,16 +306,13 @@ def check_shy(
 
 
 def check_warded(
-    program: Program, classifications: Optional[list[RuleClassification]] = None
+    program: Program, classifications: list[RuleClassification]
 ) -> tuple[bool, list[Violation]]:
     """Wardedness: per rule, all dangerous variables in one body atom (W1)
     that shares only harmless variables with the rest of the body (W2)."""
-    if classifications is None:
-        classifications = classify_variables(program)
     violations: list[Violation] = []
-    by_id = {rc.rule_id: rc for rc in classifications}
-    for rule in program.rules:
-        infos = by_id[rule.id].variables
+    for rule, rc in zip(program.rules, classifications):
+        infos = rc.variables
         dangerous = sorted(n for n, info in infos.items() if info.dangerous)
         if not dangerous:
             continue
@@ -351,7 +333,7 @@ def check_warded(
                 )
             )
             continue
-        best_offenders: Optional[list[str]] = None
+        offenders_per_ward = []
         for w in wards:
             shared = {
                 name
@@ -359,13 +341,9 @@ def check_warded(
                 if i != w
                 for name in vs & atom_vars[w]
             }
-            offenders = sorted(n for n in shared if infos[n].cls != HARMLESS)
-            if not offenders:
-                best_offenders = None
-                break
-            if best_offenders is None or len(offenders) < len(best_offenders):
-                best_offenders = offenders
-        if best_offenders is not None:
+            offenders_per_ward.append(sorted(n for n in shared if infos[n].cls != HARMLESS))
+        best_offenders = min(offenders_per_ward, key=len)
+        if best_offenders:
             violations.append(
                 Violation(
                     rule_id=rule.id,
@@ -382,23 +360,19 @@ def check_warded(
 
 def check_protected(
     program: Program,
-    classifications: Optional[list[RuleClassification]] = None,
-    *,
-    shy: Optional[tuple[bool, list[Violation]]] = None,
-    warded: Optional[tuple[bool, list[Violation]]] = None,
+    classifications: list[RuleClassification],
+    shy: tuple[bool, list[Violation]],
+    warded: tuple[bool, list[Violation]],
 ) -> tuple[bool, list[Violation]]:
     """Direct protected check: no attacked-harmful join variables (P1) and
     warded (P2).  Cross-checked against shy-and-warded; a mismatch means
     the analysis itself is broken and raises InternalInconsistencyError.
-    ``shy`` and ``warded`` take results of :func:`check_shy` and
-    :func:`check_warded` already computed over the same classifications.
+    ``shy`` and ``warded`` are the results of :func:`check_shy` and
+    :func:`check_warded` over the same classifications.
     """
-    if classifications is None:
-        classifications = classify_variables(program)
     violations: list[Violation] = []
-    by_id = {rc.rule_id: rc for rc in classifications}
-    for rule in program.rules:
-        infos = by_id[rule.id].variables
+    for rule, rc in zip(program.rules, classifications):
+        infos = rc.variables
         for name in sorted(infos):
             info = infos[name]
             if info.cls == ATTACKED_HARMFUL and len(info.atom_indexes) > 1:
@@ -413,23 +387,17 @@ def check_protected(
                         ),
                     )
                 )
-    if warded is None:
-        warded = check_warded(program, classifications)
     warded_ok, warded_violations = warded
-    if not warded_ok:
-        for wv in warded_violations:
-            violations.append(
-                Violation(
-                    rule_id=wv.rule_id,
-                    condition="P2",
-                    variables=wv.variables,
-                    explanation=f"not warded: {wv.explanation}",
-                )
+    for wv in warded_violations:
+        violations.append(
+            Violation(
+                rule_id=wv.rule_id,
+                condition="P2",
+                variables=wv.variables,
+                explanation=f"not warded: {wv.explanation}",
             )
+        )
     verdict = not violations
-
-    if shy is None:
-        shy = check_shy(program, classifications)
     shy_ok = shy[0]
     if verdict != (shy_ok and warded_ok):
         raise InternalInconsistencyError(
@@ -452,7 +420,7 @@ def analyze(program: Program) -> AnalysisReport:
     shy = check_shy(program, classifications)
     warded = check_warded(program, classifications)
     protected_ok, protected_violations = check_protected(
-        program, classifications, shy=shy, warded=warded
+        program, classifications, shy, warded
     )
     (shy_ok, shy_violations), (warded_ok, warded_violations) = shy, warded
     violations = sorted(

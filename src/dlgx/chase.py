@@ -400,20 +400,16 @@ def compile_pattern(shape: tuple[tuple[str, tuple], ...]) -> Join:
     return _join(shape, {c for _, codes in shape for c in codes if c < 0})
 
 
-def _bind(
-    pattern: Sequence[Atom], nulls_from: int, variables: bool
-) -> tuple[Join, list, list[Term]]:
+def _bind(pattern: Sequence[Atom], nulls_from: int) -> tuple[Join, list, list[Term]]:
     """The plan for ``pattern``, its starting values and its mobile terms:
-    nulls of epoch ``nulls_from`` on, and variables with ``variables``."""
+    nulls of epoch ``nulls_from`` on, and variables."""
     slot_of: dict[Term, int] = {}
     rigid: list[Term] = []
     shape = []
     for atom in pattern:
         codes = []
         for t in atom.terms:
-            if isinstance(t, Null) and t.epoch >= nulls_from or (
-                variables and isinstance(t, Variable)
-            ):
+            if isinstance(t, Null) and t.epoch >= nulls_from or isinstance(t, Variable):
                 codes.append(slot_of.setdefault(t, len(slot_of)))
             else:
                 rigid.append(t)
@@ -424,17 +420,15 @@ def _bind(
 
 
 def exists_homomorphism(
-    pattern: Sequence[Atom], target: Instance, *, free_nulls: bool = False
+    pattern: Sequence[Atom], target: Instance
 ) -> Optional[dict[Term, Term]]:
     """A mapping sending every pattern atom onto a fact of ``target``, or
     None.
 
-    Variables are always free.  With ``free_nulls`` the pattern's
-    unfrozen nulls are free as well (they may land on constants or
-    nulls); frozen nulls and constants are rigid.
+    Variables and the pattern's unfrozen nulls are free (they may land on
+    constants or nulls); frozen nulls and constants are rigid.
     """
-    nulls_from = target.active_epoch if free_nulls else _ALL
-    join, values, mobile = _bind(pattern, nulls_from, True)
+    join, values, mobile = _bind(pattern, target.active_epoch)
     for row in _search(join, values, target, limit=1):
         return dict(zip(mobile, row))
     return None
@@ -447,7 +441,7 @@ def exists_isomorphic_embedding(fact_set: Sequence[Atom], target: Instance) -> b
     injective null-to-null assignment, so its inverse is a homomorphism
     from the image back onto ``fact_set``.
     """
-    join, values, mobile = _bind(fact_set, target.active_epoch, False)
+    join, values, mobile = _bind(fact_set, target.active_epoch)
     n = len(mobile)
 
     def injective_on_nulls(values: list) -> Optional[tuple]:
@@ -575,9 +569,7 @@ def _level_triggers(
 # sees every call.
 _BLOCKS: dict[Optional[str], Callable[[list[Atom], Instance], bool]] = {
     None: lambda head, instance: False,
-    HOMOMORPHISM: lambda head, instance: (
-        exists_homomorphism(head, instance, free_nulls=True) is not None
-    ),
+    HOMOMORPHISM: lambda head, instance: exists_homomorphism(head, instance) is not None,
     ISOMORPHISM: lambda head, instance: exists_isomorphic_embedding(head, instance),
 }
 
@@ -754,6 +746,6 @@ def compare_chase_containment(
         if fact not in target:
             return ContainmentReport("violated", [fact], p_run, i_run)
     for component in components:
-        if exists_homomorphism(component, target, free_nulls=True) is None:
+        if exists_homomorphism(component, target) is None:
             return ContainmentReport("violated", component, p_run, i_run)
     return ContainmentReport("holds", None, p_run, i_run)

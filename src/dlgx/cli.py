@@ -190,7 +190,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         print(_json(answer.to_json_dict(certain=args.certain)))
     else:
         print(_answer_text(answer, args.certain), end="")
-    if args.certain:
+    if args.certain and query.output_vars:
         rows = answer.to_json_dict(certain=True)["tuples"]
         return EXIT_OK if rows else EXIT_FALSE
     return EXIT_OK if answer.verdict else EXIT_FALSE

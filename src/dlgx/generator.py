@@ -20,16 +20,11 @@ from .query import Query
 
 @dataclass(frozen=True)
 class GeneratorProfile:
-    max_arity: int = 3
     max_decorations: int = 2
     max_facts: int = 12
     constant_pool: tuple[str, ...] = ("a", "b", "c", "d", "e")
     # weights for: protected, shy-not-warded, warded-not-shy, neither
     motif_weights: tuple[float, float, float, float] = (0.34, 0.24, 0.24, 0.18)
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.max_arity <= 4:
-            raise ValueError("max_arity must be between 1 and 4")
 
 
 DEFAULT_PROFILE = GeneratorProfile()
@@ -205,15 +200,10 @@ def generate_random_program(
     return Program(rules=tuple(rules), facts=tuple(facts))
 
 
-def generate_random_query(
-    program: Program,
-    seed: int,
-    max_atoms: int = 3,
-    rng: Optional[random.Random] = None,
-) -> Query:
+def generate_random_query(program: Program, seed: int, max_atoms: int = 3) -> Query:
     """A 1..max_atoms conjunctive query over the program's schema,
     biased toward derived predicates, with chained variable sharing."""
-    rng = rng or random.Random(seed)
+    rng = random.Random(seed)
     schema = program.schema
     head_preds = sorted({a.predicate for r in program.rules for a in r.head})
     all_preds = sorted(schema)

@@ -12,6 +12,7 @@ test_query.py.
 import collections
 import io
 import json
+import statistics
 import sys
 import time
 from contextlib import redirect_stdout
@@ -204,34 +205,50 @@ def test_criterion_6_resumption_fixture():
     )
 
 
+# Each size is timed as the median of this many runs of each variant, so
+# one run slowed by the shared machine moves neither side of the scale
+# ratio.  (The best of the runs would favour the small size: its runs are
+# short enough to fit between bursts of load, the 10k runs are not.)
+PSC_ROUNDS = 3
+
+
+def _timed_answers(scenario, variant) -> tuple[frozenset, float]:
+    """The answers to the scenario's first query under ``variant``, and
+    the seconds the chase and the query took."""
+    t0 = time.monotonic()
+    run = run_chase(scenario.program, variant)
+    result = evaluate_query(scenario.queries[0], run.result)
+    elapsed = time.monotonic() - t0
+    assert run.status == "fixpoint"
+    return frozenset(result.tuples), elapsed
+
+
 def _psc_answer_set(persons: int, companies: int):
     spec = ScenarioSpec(name="psc", persons=persons, companies=companies, seed=0)
     scenario = generate_psc(spec)
-    timings = {}
-    answers = {}
-    for name, variant in (("pchase-r", pchase_r(1)), ("ichase", ichase())):
-        t0 = time.monotonic()
-        run = run_chase(scenario.program, variant)
-        result = evaluate_query(scenario.queries[0], run.result)
-        timings[name] = time.monotonic() - t0
-        assert run.status == "fixpoint"
-        answers[name] = frozenset(result.tuples)
-    assert answers["pchase-r"] == answers["ichase"]
+    timings = {"pchase-r": [], "ichase": []}
+    for _ in range(PSC_ROUNDS):
+        answers = {}
+        for name, variant in (("pchase-r", pchase_r(1)), ("ichase", ichase())):
+            answers[name], elapsed = _timed_answers(scenario, variant)
+            timings[name].append(elapsed)
+        assert answers["pchase-r"] == answers["ichase"]
     return answers["pchase-r"], timings
 
 
 def test_criterion_7_psc_scaling():
     small_answers, small_t = _psc_answer_set(1_000, 1_000)
     big_answers, big_t = _psc_answer_set(10_000, 10_000)
-    wall_small = sum(small_t.values())
-    wall_big = sum(big_t.values())
-    under_minute = all(t < 60 for t in big_t.values())
-    ratio = wall_big / wall_small
+    median_small = {name: statistics.median(ts) for name, ts in small_t.items()}
+    median_big = {name: statistics.median(ts) for name, ts in big_t.items()}
+    under_minute = all(t < 60 for ts in big_t.values() for t in ts)
+    ratio = sum(median_big.values()) / sum(median_small.values())
     ok = under_minute and ratio <= 20
     report(
         7,
         ok,
-        f"10k psc: pchase-r {big_t['pchase-r']:.1f}s, ichase {big_t['ichase']:.1f}s, "
+        f"10k psc, median of {PSC_ROUNDS}: pchase-r {median_big['pchase-r']:.1f}s, "
+        f"ichase {median_big['ichase']:.1f}s, "
         f"answer sets identical ({len(big_answers)} rows), "
         f"scale ratio {ratio:.1f}x <= 20x",
     )

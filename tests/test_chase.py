@@ -76,17 +76,16 @@ class TestFindHomomorphisms:
         nu = Null(0, 1)
         target = Instance.from_facts([atom("q", "a", "b")])
         pattern = [atom("q", "a", nu)]
-        assert exists_homomorphism(pattern, target, free_nulls=True) is not None
-        assert exists_homomorphism(pattern, target, free_nulls=False) is None
+        assert exists_homomorphism(pattern, target) is not None
 
     def test_frozen_null_is_rigid_even_with_free_nulls(self):
         nu = Null(1, 0)  # epoch 0, so freezing the instance catches it
         instance = Instance.from_facts([atom("q", "a", nu), atom("q", "c", "d")])
         pattern = [atom("q", "c", nu)]
         # mobile, the null would land on d; frozen, it stays itself
-        assert exists_homomorphism(pattern, instance, free_nulls=True) is not None
+        assert exists_homomorphism(pattern, instance) is not None
         freeze_nulls(instance)
-        assert exists_homomorphism(pattern, instance, free_nulls=True) is None
+        assert exists_homomorphism(pattern, instance) is None
         assert exists_homomorphism([atom("q", "a", nu)], instance) is not None
 
     def test_constants_are_rigid(self):
@@ -128,7 +127,7 @@ class TestCompiledBlockers:
     only in their rigid terms share one plan."""
 
     def blocks(self, head, instance):
-        homomorphism = exists_homomorphism(head, instance, free_nulls=True) is not None
+        homomorphism = exists_homomorphism(head, instance) is not None
         isomorphism = exists_isomorphic_embedding(head, instance)
         assert homomorphism == reference.maps_homomorphically(head, instance)
         assert isomorphism == reference.embeds_isomorphically(head, instance)
@@ -176,8 +175,8 @@ def test_blockers_match_the_reference_on_generated_programs(monkeypatch):
 
     verdicts = Counter()
 
-    def homomorphism(head, instance, **kwargs):
-        found = exists_homomorphism(head, instance, **kwargs)
+    def homomorphism(head, instance):
+        found = exists_homomorphism(head, instance)
         assert (found is not None) == reference.maps_homomorphically(head, instance)
         if found is not None:
             assert all(fact in instance for fact in reference.image(head, found))
@@ -552,7 +551,7 @@ def test_null_free_triggers_stay_blocked_after_a_freeze():
     def blocked(blocker, head, inst):
         if blocker == "isomorphism":
             return exists_isomorphic_embedding(head, inst)
-        return exists_homomorphism(head, inst, free_nulls=True) is not None
+        return exists_homomorphism(head, inst) is not None
 
     checked = 0
     for seed in range(200):

@@ -315,6 +315,14 @@ class TestQuery:
         payload = json.loads(capsys.readouterr().out)
         assert payload["tuples"] == [["a", "b"], ["b", "c"]]
 
+    def test_certain_without_variables_exits_by_verdict(self, tmp_path, capsys):
+        program = write(tmp_path, "prog.dlgx", "p(a).")
+        for text, verdict, code in (("?- p(a).", "true", 0), ("?- p(b).", "false", 1)):
+            query = write(tmp_path, "q.query", text)
+            rc = main(["query", "--program", program, "--query", query, "--certain"])
+            assert f"verdict: {verdict}" in capsys.readouterr().out
+            assert rc == code
+
     def test_unknown_predicate_warns_false(self, tmp_path, two_path, capsys):
         query = write(tmp_path, "q.query", "?- ghost(X).")
         rc = main(["query", "--program", two_path, "--query", query])

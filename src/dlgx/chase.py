@@ -600,13 +600,9 @@ def run_chase(
     the trace has no record of it.
 
     ``on_level(instance, new_facts)`` is called once with the input facts
-    before any trigger, after every level with the facts that level added,
-    and with an empty list when an epoch reaches its fixpoint.  Returning
-    True on the input facts or on a level's facts ends the run with status
-    ``query-satisfied``; returning True at an epoch's fixpoint keeps status
-    ``fixpoint`` and skips the remaining resumptions.  A level cut short by
-    the step budget gets no call.  Without ``on_level`` a run ends at a
-    fixpoint or at the step budget.
+    before any trigger, and after every level that added facts with those
+    facts.  Returning True ends the run with status ``query-satisfied``.
+    A level cut short by the step budget gets no call.
 
     Past an epoch's first level, every trigger uses a fact that the level
     before added, so no trigger comes up twice in one epoch.
@@ -627,7 +623,6 @@ def run_chase(
     fired_steps = 0
     minted = 0  # nulls minted so far; the next one is numbered minted + 1
     blocked = 0
-    resumptions_used = 0
     status = FIXPOINT
     delta: Sequence[Atom] = list(instance)
     if on_level is not None and on_level(instance, delta):
@@ -637,7 +632,6 @@ def run_chase(
     for epoch in range(variant.resumptions + 1):
         if epoch > 0:
             freeze_nulls(instance)
-            resumptions_used += 1
             delta = [f for f in instance if any(isinstance(t, Null) for t in f.terms)]
         while delta and status == FIXPOINT:
             added: list[Atom] = []
@@ -667,18 +661,15 @@ def run_chase(
             level += 1
             if status == FIXPOINT and delta and on_level is not None and on_level(instance, delta):
                 status = QUERY_SATISFIED
-        if status != FIXPOINT:
-            break
-        if on_level is not None and on_level(instance, []):
-            break
-        if not blocked:  # the first epoch blocked nothing: see the docstring
+        # a stopped run, or a first epoch that blocked nothing (see the docstring)
+        if status != FIXPOINT or not blocked:
             break
     return ChaseRun(
         variant=variant,
         result=instance,
         status=status,
         fired_steps=fired_steps,
-        resumptions_used=resumptions_used,
+        resumptions_used=instance.active_epoch,  # one freeze per resumption
         trace=records,
     )
 

@@ -39,7 +39,7 @@ from .chase import (
     parse_variant,
     run_chase,
 )
-from .model import Program, format_instance, format_term
+from .model import Null, Program, format_instance, format_term
 from .parser import (
     ParseError,
     load_facts_csv,
@@ -146,17 +146,15 @@ def cmd_chase(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _answer_text(answer, certain: bool) -> str:
+def _answer_text(answer) -> str:
     lines = [f"verdict: {str(answer.verdict).lower()}"]
     if answer.witness:
         pairs = " ".join(
             f"{k}={format_term(v)}" for k, v in sorted(answer.witness.items())
         )
         lines.append(f"witness: {pairs}")
-    if answer.tuples is not None:
-        rows = answer.to_json_dict(certain=certain)["tuples"]
-        for row in rows:
-            lines.append("row: " + ", ".join(row))
+    for row in answer.tuples or ():
+        lines.append("row: " + ", ".join(map(format_term, row)))
     for w in answer.warnings:
         lines.append(f"warning: {w}")
     lines.append(f"chase: {answer.chase_status} ({answer.chase_steps} steps)")
@@ -167,13 +165,9 @@ def cmd_query(args: argparse.Namespace) -> int:
     program = _load_program(args)
     warnings: list[str] = []
     query = _load_query(args, program, warnings)
-    if args.certain:
-        order: list[str] = []
-        for atom in query.atoms:
-            for v in atom.variables():
-                if v.name not in order:
-                    order.append(v.name)
-        query = Query(atoms=query.atoms, output_vars=tuple(order))
+    if args.certain and not query.output_vars:
+        names = dict.fromkeys(v.name for atom in query.atoms for v in atom.variables())
+        query = Query(query.atoms, tuple(names))
     variant = parse_variant(args.variant, args.resumptions)
     if args.resumptions is None and (
         variant.resumptions
@@ -186,14 +180,14 @@ def cmd_query(args: argparse.Namespace) -> int:
         program, query, variant, max_steps=args.max_steps
     )
     answer.warnings = warnings + answer.warnings
+    if args.certain and answer.tuples is not None:
+        answer.tuples = [t for t in answer.tuples if not any(isinstance(x, Null) for x in t)]
     if args.format == "json":
-        print(_json(answer.to_json_dict(certain=args.certain)))
+        print(_json(answer.to_json_dict()))
     else:
-        print(_answer_text(answer, args.certain), end="")
-    if args.certain and query.output_vars:
-        rows = answer.to_json_dict(certain=True)["tuples"]
-        return EXIT_OK if rows else EXIT_FALSE
-    return EXIT_OK if answer.verdict else EXIT_FALSE
+        print(_answer_text(answer), end="")
+    held = answer.verdict if answer.tuples is None else answer.tuples
+    return EXIT_OK if held else EXIT_FALSE
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
@@ -323,7 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", default="pchase", choices=VARIANT_NAMES)
     p.add_argument("--max-steps", type=int)
     p.add_argument("--resumptions", type=int)
-    p.add_argument("--certain", action="store_true", help="enumerate null-free answer tuples")
+    p.add_argument(
+        "--certain",
+        action="store_true",
+        help="print only null-free answer tuples; a query without an output "
+        "line outputs every variable",
+    )
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_query)
 

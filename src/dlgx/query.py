@@ -25,7 +25,6 @@ from .chase import (
 from .model import (
     Atom,
     Instance,
-    Null,
     Program,
     Term,
     format_term,
@@ -63,10 +62,7 @@ class Answer:
     resumptions_used: Optional[int] = None
     warnings: list[str] = field(default_factory=list)
 
-    def to_json_dict(self, certain: bool = False) -> dict:
-        tuples = self.tuples
-        if tuples is not None and certain:
-            tuples = [t for t in tuples if not any(isinstance(x, Null) for x in t)]
+    def to_json_dict(self) -> dict:
         return {
             "verdict": self.verdict,
             "witness": (
@@ -75,8 +71,8 @@ class Answer:
                 else None
             ),
             "tuples": (
-                [[format_term(x) for x in t] for t in tuples]
-                if tuples is not None
+                [[format_term(x) for x in t] for t in self.tuples]
+                if self.tuples is not None
                 else None
             ),
             "variant": self.variant,
@@ -153,20 +149,17 @@ def answer_with_variant(
     A Boolean query is checked after every level, on the matches that use
     a fact the level added (the query is compiled like a rule body), and
     the run stops with status ``query-satisfied`` at the first level where
-    it holds; the answer and its witness then come from evaluating the
-    query once on the instance the run stopped on.  A run that reaches a
-    fixpoint without holding answers false, and one cut short by the step
-    budget answers from the instance it left.  An answer-set query is
-    evaluated at the end of every epoch, and the run skips its remaining
-    resumptions once it has a row.
+    it holds, and answers false if it reaches a fixpoint.  An answer-set
+    query chases to a fixpoint or to the step budget.  Every other answer,
+    with its witness or its rows, comes from evaluating the query once on
+    the instance the run ended with.
 
     A false answer from plain ichase carries :data:`CHAIN_WARNING`, which
     suggests one resumption per query atom, when the program or the
     query has a harmful join (see :func:`dlgx.analysis.harmful_joins`).
     """
     schema = program.schema
-    # the answer if the run ends at a fixpoint
-    evaluated: Optional[Answer] = None
+    on_level = None  # an answer-set query chases to the end
     if query.is_boolean:
         plan = compile_body(query.atoms)
         predicates = query.predicates()
@@ -178,19 +171,9 @@ def answer_with_variant(
                 return False
             return bool(plan.matches(instance, group_by_predicate(new_facts), limit=1))
 
-        evaluated = Answer(verdict=False, warnings=_unknown_predicates(query, schema))
-    else:
-
-        def on_level(instance: Instance, new_facts: list[Atom]) -> bool:
-            nonlocal evaluated
-            if new_facts:
-                return False
-            evaluated = evaluate_query(query, instance, schema)
-            return evaluated.verdict
-
     run = run_chase(program, variant, max_steps=max_steps, trace=trace, on_level=on_level)
-    if run.status == FIXPOINT:
-        answer = evaluated
+    if query.is_boolean and run.status == FIXPOINT:
+        answer = Answer(verdict=False, warnings=_unknown_predicates(query, schema))
     else:
         answer = evaluate_query(query, run.result, schema)
     if (

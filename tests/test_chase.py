@@ -528,20 +528,24 @@ def test_resumption_stops_after_an_epoch_that_blocks_nothing():
         "p(a).\np2(a).\nq(X, Z) :- p(X).\nr(X) :- p(X).\nr(X) :- p2(X).",
     ],
 )
-def test_resumptions_that_block_only_null_free_triggers_still_count(text):
+def test_resumptions_that_block_only_null_free_triggers_still_count(text, monkeypatch):
     # each resumption re-blocks the null-free triggers, so none ends the run
+    import dlgx.chase as chase
+
+    freezes = []
+
+    def counting_freeze(instance):
+        freezes.append(instance.active_epoch)
+        return freeze_nulls(instance)
+
+    monkeypatch.setattr(chase, "freeze_nulls", counting_freeze)
     program = parse_program(text)
     for variant in (pchase_r(3), ichase(3)):
-        fixpoints = []
-
-        def on_level(instance, new_facts):
-            if not new_facts:
-                fixpoints.append(instance.active_epoch)
-            return False
-
-        run = run_chase(program, variant, on_level=on_level)
+        freezes.clear()
+        run = run_chase(program, variant)
+        assert run.status == "fixpoint"
         assert run.resumptions_used == 3
-        assert fixpoints == [0, 1, 2, 3]
+        assert freezes == [0, 1, 2]
 
 
 def test_null_free_triggers_stay_blocked_after_a_freeze():
@@ -575,18 +579,32 @@ def test_null_free_triggers_stay_blocked_after_a_freeze():
     assert checked > 1000
 
 
-def test_on_level_can_stop_at_an_epoch_fixpoint():
+def test_on_level_sees_the_input_facts_then_each_adding_level():
     program = parse_program(TWO_PATH)
     calls = []
 
-    def stop(instance, new_facts):
+    def record(instance, new_facts):
         calls.append([str(f) for f in new_facts])
-        return not new_facts
+        return False
 
-    run = run_chase(program, pchase_r(5), on_level=stop)
-    assert run.status == "fixpoint" and run.resumptions_used == 0
-    # the input facts, the one level that added a fact, the fixpoint
-    assert calls == [["n(a)"], ["e(a, _:e0n1)"], []]
+    run = run_chase(program, pchase_r(5), on_level=record)
+    assert run.status == "fixpoint" and run.resumptions_used == 5
+    # each resumption adds n(null), then e(null, fresh null); an epoch's
+    # fixpoint, where a level adds nothing, gets no call
+    assert calls == [
+        ["n(a)"],
+        ["e(a, _:e0n1)"],
+        ["n(_:e0n1)"],
+        ["e(_:e0n1, _:e1n2)"],
+        ["n(_:e1n2)"],
+        ["e(_:e1n2, _:e2n3)"],
+        ["n(_:e2n3)"],
+        ["e(_:e2n3, _:e3n4)"],
+        ["n(_:e3n4)"],
+        ["e(_:e3n4, _:e4n5)"],
+        ["n(_:e4n5)"],
+        ["e(_:e4n5, _:e5n6)"],
+    ]
 
 
 def test_on_level_can_stop_after_a_level():

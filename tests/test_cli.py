@@ -315,6 +315,32 @@ class TestQuery:
         payload = json.loads(capsys.readouterr().out)
         assert payload["tuples"] == [["a", "b"], ["b", "c"]]
 
+    def test_certain_tuples_drop_rows_with_nulls(self, tmp_path, two_path, capsys):
+        query = write(tmp_path, "q.query", "?- e(X, Y).")
+        argv = ["query", "--program", two_path, "--query", query, "--variant", "ichase"]
+        assert main(argv + ["--certain", "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] is True  # rows exist, all null-bearing in Y
+        assert payload["tuples"] == []
+
+    def test_certain_keeps_the_query_files_outputs(self, tmp_path, capsys):
+        # X = a is certain though the dropped Y binds to a null
+        program = write(tmp_path, "prog.dlgx", "p(a).\nq(X, N) :- p(X).")
+        query = write(tmp_path, "q.query", "?- q(X, Y).\nX")
+        rc = main(["query", "--program", program, "--query", query, "--certain"])
+        assert "row: a\n" in capsys.readouterr().out
+        assert rc == 0
+
+    def test_answer_set_query_chases_every_resumption(self, tmp_path, capsys):
+        # ichase resumes once per query atom here; e comes from a later epoch
+        # than a, so a run that stopped at the first epoch with a row lost it
+        program = write(tmp_path, "chain.dlgx", DEEP_CHAIN)
+        query = write(tmp_path, "q.query", "?- mid2(Q1, Q2), mid2(Q3, Q1), mid2(X, Q3).\nX")
+        rc = main(["query", "--program", program, "--query", query, "--variant", "ichase"])
+        out = capsys.readouterr().out
+        assert "row: a\n" in out and "row: e\n" in out
+        assert rc == 0
+
     def test_certain_without_variables_exits_by_verdict(self, tmp_path, capsys):
         program = write(tmp_path, "prog.dlgx", "p(a).")
         for text, verdict, code in (("?- p(a).", "true", 0), ("?- p(b).", "false", 1)):

@@ -236,16 +236,16 @@ class TestAnswerWithVariant:
         ans, _ = answer_with_variant(program, q("?- e(X, Y).", program), ichase())
         jsonschema.validate(ans.to_json_dict(), schema)
 
-    def test_certain_tuples_drop_rows_with_nulls(self):
-        program = parse_program(TWO_PATH)
-        query = Query(
-            atoms=(Atom("e", (Variable("X"), Variable("Y"))),),
-            output_vars=("X", "Y"),
-        )
-        ans, _ = answer_with_variant(program, query, ichase())
-        assert ans.tuples  # some rows exist, all null-bearing here
-        payload = ans.to_json_dict(certain=True)
-        assert payload["tuples"] == []
+    def test_answer_set_queries_chase_every_resumption(self):
+        # ichase(3) has a row, a, once its first resumption ends; e needs the
+        # later ones, so the run must not stop at the first epoch with a row
+        program = parse_program(DEEP_CHAIN)
+        query = q("?- mid2(Q1, Q2), mid2(Q3, Q1), mid2(X, Q3).\nX", program)
+        for variant in (ichase(3), pchase_r(3)):
+            ans, _ = answer_with_variant(program, query, variant)
+            assert {constant("a"), constant("e")} <= {row[0] for row in ans.tuples}
+            full = evaluate_query(query, run_chase(program, variant).result)
+            assert ans.tuples == full.tuples, variant
 
 
 class TestEarlyStop:
@@ -288,6 +288,12 @@ class TestEarlyStop:
                     program, Query(query.atoms, names), variant, max_steps=2000
                 )
                 assert rows.chase_status in ("fixpoint", "step-limit-reached"), (seed, variant)
+                # one pass: the answer is the full run's, evaluated once
+                run = run_chase(program, variant, max_steps=2000)
+                full = evaluate_query(Query(query.atoms, names), run.result)
+                assert (rows.tuples, rows.chase_status, rows.chase_steps, rows.resumptions_used) == (
+                    full.tuples, run.status, run.fired_steps, run.resumptions_used
+                ), (seed, variant)
                 assert rows.verdict == boolean.verdict or rows.chase_status != "fixpoint"
                 satisfied += boolean.chase_status == "query-satisfied"
                 checked += 1
@@ -319,7 +325,8 @@ class TestEarlyStop:
         for seed in range(200):
             program = generate_random_program(seed)
             query = generate_random_query(program, (seed + 1) * 31 + 7)
-            answer_with_variant(program, query, pchase_r(2), max_steps=2000)
+            for variant in (pchase_r(2), ichase(2)):
+                answer_with_variant(program, query, variant, max_steps=2000)
         assert len(levels) > 800 and sum(levels) > 100
 
 

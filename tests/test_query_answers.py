@@ -15,8 +15,12 @@ the run stopped, not what it answered.
 Regenerate the file (only when an answer is meant to change) with
 
     PYTHONPATH=src python tests/test_query_answers.py
+
+which prints the ``seed variant`` key of every digest it rewrites, then
+how many moved per variant.
 """
 import hashlib
+from collections import Counter
 from pathlib import Path
 
 from dlgx.analysis import analyze
@@ -65,13 +69,30 @@ def compute_digests() -> list[str]:
     return lines
 
 
+def moved_keys(expected: list[str], actual: list[str]) -> list[str]:
+    """The ``seed variant`` keys whose digest differs, in file order."""
+    return [a.rsplit(" ", 1)[0] for a, e in zip(actual, expected) if a != e]
+
+
+def per_variant(keys: list[str]) -> str:
+    counts = Counter(key.split(" ", 1)[1] for key in keys)
+    return ", ".join(f"{variant}: {n}" for variant, n in sorted(counts.items()))
+
+
 def test_query_answers_match_their_digests():
     expected = DIGESTS.read_text().splitlines()
     actual = compute_digests()
     assert len(actual) == len(expected) == PAIRS * 5
-    changed = [a.rsplit(" ", 1)[0] for a, e in zip(actual, expected) if a != e]
-    assert not changed, f"{len(changed)} answers changed, first: {changed[:5]}"
+    changed = moved_keys(expected, actual)
+    assert not changed, (
+        f"{len(changed)} answers changed ({per_variant(changed)}), first: {changed[:5]}"
+    )
 
 
 if __name__ == "__main__":
-    DIGESTS.write_text("\n".join(compute_digests()) + "\n")
+    new = compute_digests()
+    changed = moved_keys(DIGESTS.read_text().splitlines(), new)
+    for key in changed:
+        print(key)
+    print(f"{len(changed)} digests rewritten ({per_variant(changed)})")
+    DIGESTS.write_text("\n".join(new) + "\n")

@@ -20,16 +20,15 @@ byte-identical.
 from __future__ import annotations
 
 import csv
-import json
 import random
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .analysis import analyze
-from .chase import ChaseVariant, FIXPOINT, run_chase
+from .chase import ChaseVariant, run_chase
 from .model import Atom, Program, Rule, Variable, constant
 from .parser import print_program, print_query
 from .query import Query, evaluate_query
@@ -222,7 +221,6 @@ class BenchResult:
     facts: int
     answers: int
     status: str
-    error: Optional[str] = None
 
     def to_row(self) -> tuple[str, int, str, int, int]:
         return (self.spec.name, self.spec.primary_count, self.variant, self.wall_ms, self.facts)
@@ -236,7 +234,6 @@ class BenchResult:
             "facts": self.facts,
             "answers": self.answers,
             "status": self.status,
-            "error": self.error,
         }
 
 
@@ -247,9 +244,8 @@ def _time_variant(
     start = time.monotonic()
     run = run_chase(scenario.program, variant, max_steps=max_steps)
     answers = 0
-    schema = scenario.program.schema
     for q in scenario.queries:
-        ans = evaluate_query(q, run.result, schema)
+        ans = evaluate_query(q, run.result)
         answers += len(ans.tuples) if q.output_vars else int(ans.verdict)
     elapsed = (time.monotonic() - start) * 1000.0
     return elapsed, len(run.result), answers, run.status
@@ -264,40 +260,22 @@ def run_bench(
     """Median-of-repetitions timings, one result per variant.
 
     Timing covers chase plus query answering; scenario generation and
-    parsing are outside the clock.  Errors are recorded on the row and
-    the remaining variants still run.
+    parsing are outside the clock.  Errors propagate, such as the
+    ValueError of a negative ``max_steps``.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     results: list[BenchResult] = []
     for variant in variants:
-        try:
-            samples = []
-            for _ in range(repetitions):
-                samples.append(_time_variant(scenario, variant, max_steps))
-            ms = int(round(statistics.median(s[0] for s in samples)))
-            _, facts, answers, status = samples[-1]
-            results.append(
-                BenchResult(scenario.spec, str(variant), ms, facts, answers, status)
-            )
-        except Exception as exc:  # noqa: BLE001 - row-level error reporting
-            results.append(
-                BenchResult(scenario.spec, str(variant), 0, 0, 0, "error", str(exc))
-            )
+        samples = []
+        for _ in range(repetitions):
+            samples.append(_time_variant(scenario, variant, max_steps))
+        ms = int(round(statistics.median(s[0] for s in samples)))
+        _, facts, answers, status = samples[-1]
+        results.append(
+            BenchResult(scenario.spec, str(variant), ms, facts, answers, status)
+        )
     return results
-
-
-def write_bench_csv(results: Sequence[BenchResult], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "scale", "variant", "ms", "facts"])
-        for r in results:
-            writer.writerow(r.to_row())
-
-
-def write_bench_json(results: Sequence[BenchResult], path: str | Path) -> None:
-    payload = [r.to_json_dict() for r in results]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def write_scenario(scenario: Scenario, out_dir: str | Path) -> dict[str, Path]:

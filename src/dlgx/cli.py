@@ -27,8 +27,6 @@ from .benchgen import (
     ScenarioSpec,
     generate_scenario,
     run_bench,
-    write_bench_csv,
-    write_bench_json,
     write_scenario,
 )
 from .chase import (
@@ -86,12 +84,12 @@ def _load_program(args: argparse.Namespace) -> Program:
     return program.with_facts(extra) if extra else program
 
 
-def _load_query(args: argparse.Namespace, program: Program, warnings: list[str]) -> Query:
+def _load_query(args: argparse.Namespace, program: Program) -> tuple[Query, list[str]]:
+    """The query and its parse warnings, as ``file:line:col: message``."""
     text = Path(args.query).read_text(encoding="utf-8")
     diags = []
     query = parse_query(text, args.query, schema=program.schema, diagnostics=diags)
-    warnings.extend(f"{d.span}: {d.message}" for d in diags)
-    return query
+    return query, [f"{d.span}: {d.message}" for d in diags]
 
 
 def _classify_text(report: AnalysisReport) -> str:
@@ -163,8 +161,7 @@ def _answer_text(answer) -> str:
 
 def cmd_query(args: argparse.Namespace) -> int:
     program = _load_program(args)
-    warnings: list[str] = []
-    query = _load_query(args, program, warnings)
+    query, warnings = _load_query(args, program)
     if args.certain and not query.output_vars:
         names = dict.fromkeys(v.name for atom in query.atoms for v in atom.variables())
         query = Query(query.atoms, tuple(names))
@@ -182,18 +179,19 @@ def cmd_query(args: argparse.Namespace) -> int:
     answer.warnings = warnings + answer.warnings
     if args.certain and answer.tuples is not None:
         answer.tuples = [t for t in answer.tuples if not any(isinstance(x, Null) for x in t)]
+        answer.verdict = bool(answer.tuples)
     if args.format == "json":
         print(_json(answer.to_json_dict()))
     else:
         print(_answer_text(answer), end="")
-    held = answer.verdict if answer.tuples is None else answer.tuples
-    return EXIT_OK if held else EXIT_FALSE
+    return EXIT_OK if answer.verdict else EXIT_FALSE
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
     program = _load_program(args)
-    warnings: list[str] = []
-    query = _load_query(args, program, warnings)
+    query, warnings = _load_query(args, program)
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
     budget = args.max_steps if args.max_steps is not None else 10_000
     report = differential_bcqa(
         program, query, budget=budget, resumptions=args.resumptions
@@ -245,18 +243,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     results = run_bench(
         scenario, variants, repetitions=args.repetitions, max_steps=args.max_steps
     )
-    if args.csv:
-        write_bench_csv(results, args.csv)
-    if args.json:
-        write_bench_json(results, args.json)
     if args.format == "json":
         print(_json([r.to_json_dict() for r in results]))
     else:
         print("scenario,scale,variant,ms,facts")
         for r in results:
             print(",".join(str(x) for x in r.to_row()))
-            if r.error:
-                print(f"error ({r.variant}): {r.error}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -320,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--certain",
         action="store_true",
-        help="print only null-free answer tuples; a query without an output "
-        "line outputs every variable",
+        help="keep only null-free answer tuples and answer by them; a query "
+        "without an output line outputs every variable",
     )
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_query)
@@ -339,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variants", default="pchase-r,ichase", help="comma-separated variant names")
     p.add_argument("--repetitions", type=int, default=3)
     p.add_argument("--max-steps", type=int)
-    p.add_argument("--csv", metavar="PATH", help="write results as CSV")
-    p.add_argument("--json", metavar="PATH", help="write results as JSON")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_bench)
 

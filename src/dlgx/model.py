@@ -153,14 +153,13 @@ class ExistentialVarId:
 class Rule:
     """body -> head rule; head variables missing from the body are existential.
 
-    Rules never contain nulls.  ``frontier`` is the set of variable names
-    shared between body and head; ``existential_vars`` the head-only ones.
+    Rules never contain nulls.  ``existential_vars`` names the head-only
+    variables.
     """
 
     id: int
     body: tuple[Atom, ...]
     head: tuple[Atom, ...]
-    frontier: frozenset[str]
     existential_vars: frozenset[str]
 
     @staticmethod
@@ -180,7 +179,6 @@ class Rule:
             id=rule_id,
             body=body,
             head=head,
-            frontier=frozenset(body_vars & head_vars),
             existential_vars=frozenset(head_vars - body_vars),
         )
 

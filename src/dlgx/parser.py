@@ -244,8 +244,9 @@ def parse_query(
     comma-separated output variables, such as ``P, C``.  Without that
     line the query is Boolean; every other variable is existential.
 
-    With a ``schema``, unknown predicates produce a non-fatal warning
-    (appended to ``diagnostics``) and arity mismatches are errors.
+    With a ``schema``, arity mismatches are errors, and an unknown
+    predicate is a warning with its position, appended to ``diagnostics``
+    (evaluation answers false and says nothing more).
     """
     parser = _Parser(text, filename)
     parser.expect("QUERY", "'?-'")

@@ -47,9 +47,6 @@ class Query:
     def is_boolean(self) -> bool:
         return not self.output_vars
 
-    def predicates(self) -> frozenset[str]:
-        return frozenset(a.predicate for a in self.atoms)
-
 
 @dataclass
 class Answer:
@@ -89,27 +86,12 @@ class Answer:
         }
 
 
-def _unknown_predicates(query: Query, schema: Optional[dict[str, int]]) -> list[str]:
-    if schema is None:
-        return []
-    unknown = sorted(p for p in query.predicates() if p not in schema)
-    return [f"unknown predicate {p}; answering false" for p in unknown]
-
-
-def evaluate_query(
-    query: Query, instance: Instance, schema: Optional[dict[str, int]] = None
-) -> Answer:
+def evaluate_query(query: Query, instance: Instance) -> Answer:
     """Evaluate against a fixed instance.
 
-    With a ``schema``, querying a predicate the program never mentions
-    answers false with a warning rather than erroring; a predicate that
-    is merely empty is not a warning, just false.
+    A query predicate with no fact makes the query false, with no warning:
+    :func:`dlgx.parser.parse_query` warns about one the program lacks.
     """
-    warnings = _unknown_predicates(query, schema)
-    if warnings:
-        return Answer(
-            verdict=False, tuples=[] if query.output_vars else None, warnings=warnings
-        )
     plan = compile_body(query.atoms)
     if query.is_boolean:
         found = plan.evaluate(instance, limit=1)
@@ -158,11 +140,10 @@ def answer_with_variant(
     suggests one resumption per query atom, when the program or the
     query has a harmful join (see :func:`dlgx.analysis.harmful_joins`).
     """
-    schema = program.schema
     on_level = None  # an answer-set query chases to the end
     if query.is_boolean:
         plan = compile_body(query.atoms)
-        predicates = query.predicates()
+        predicates = {a.predicate for a in query.atoms}
 
         def on_level(instance: Instance, new_facts: list[Atom]) -> bool:
             # no match while a query predicate has no fact; once the last
@@ -173,12 +154,11 @@ def answer_with_variant(
 
     run = run_chase(program, variant, max_steps=max_steps, trace=trace, on_level=on_level)
     if query.is_boolean and run.status == FIXPOINT:
-        answer = Answer(verdict=False, warnings=_unknown_predicates(query, schema))
+        answer = Answer(verdict=False)
     else:
-        answer = evaluate_query(query, run.result, schema)
+        answer = evaluate_query(query, run.result)
     if (
         not answer.verdict
-        and not answer.warnings
         and variant == ichase()
         and harmful_joins(program, query)
     ):

@@ -320,8 +320,16 @@ class TestQuery:
         argv = ["query", "--program", two_path, "--query", query, "--variant", "ichase"]
         assert main(argv + ["--certain", "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["verdict"] is True  # rows exist, all null-bearing in Y
+        assert payload["verdict"] is False  # rows exist, all null-bearing in Y
         assert payload["tuples"] == []
+
+    def test_certain_verdict_is_the_certain_rows(self, tmp_path, two_path, capsys):
+        # the query holds, but no row is null-free: verdict and exit code agree
+        query = write(tmp_path, "q.query", "?- e(X, Y).")
+        argv = ["query", "--program", two_path, "--query", query, "--variant", "ichase"]
+        assert main(argv + ["--certain"]) == 1
+        out = capsys.readouterr().out
+        assert "verdict: false\n" in out and "row:" not in out
 
     def test_certain_keeps_the_query_files_outputs(self, tmp_path, capsys):
         # X = a is certain though the dropped Y binds to a null
@@ -356,6 +364,16 @@ class TestQuery:
         out = capsys.readouterr().out
         assert "verdict: false" in out
         assert "ghost" in out and "warning" in out
+
+    def test_unknown_predicate_warns_once_with_its_position(self, tmp_path, two_path, capsys):
+        query = write(tmp_path, "q.query", "?- r(X).")
+        argv = ["query", "--program", two_path, "--query", query]
+        assert main(argv) == 1
+        warnings = [line for line in capsys.readouterr().out.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 1 and "q.query:1:4" in warnings[0]
+        assert main(argv + ["--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["warnings"]) == 1 and "q.query:1:4" in payload["warnings"][0]
 
     def test_negative_step_budget_exits_2(self, tmp_path, two_path, capsys):
         query = write(tmp_path, "q.query", "?- e(X, Y).")
@@ -407,10 +425,19 @@ class TestDiff:
         assert rc == 2
         assert "error: the step budget must be >= 0" in capsys.readouterr().err
 
+    def test_unknown_predicate_warns_on_stderr(self, tmp_path, two_path, capsys):
+        query = write(tmp_path, "q.query", "?- r(X).")
+        for fmt in ("text", "json"):
+            argv = ["diff", "--program", two_path, "--query", query, "--max-steps", "100"]
+            assert main(argv + ["--format", fmt]) == 0
+            captured = capsys.readouterr()
+            warnings = [line for line in captured.err.splitlines() if line.startswith("warning:")]
+            assert len(warnings) == 1 and "q.query:1:4" in warnings[0]
+            assert "warning" not in captured.out
+
 
 class TestBench:
-    def test_bench_text_and_csv(self, tmp_path, capsys):
-        csv_path = tmp_path / "bench.csv"
+    def test_bench_text_and_csv(self, capsys):
         rc = main(
             [
                 "bench",
@@ -422,20 +449,15 @@ class TestBench:
                 "20",
                 "--repetitions",
                 "1",
-                "--csv",
-                str(csv_path),
             ]
         )
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "pchase-r" in out and "ichase" in out
-        with open(csv_path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
         assert rows[0] == ["scenario", "scale", "variant", "ms", "facts"]
         assert len(rows) == 3
+        assert [row[:3] for row in rows[1:]] == [["psc", "20", "pchase-r(1)"], ["psc", "20", "ichase"]]
 
-    def test_bench_json_matches_schema(self, tmp_path, capsys):
-        json_path = tmp_path / "bench.json"
+    def test_bench_json_matches_schema(self, capsys):
         rc = main(
             [
                 "bench",
@@ -449,15 +471,23 @@ class TestBench:
                 "1",
                 "--variants",
                 "ichase",
-                "--json",
-                str(json_path),
+                "--format",
+                "json",
             ]
         )
         assert rc == 0
-        payload = json.loads(json_path.read_text())
+        payload = json.loads(capsys.readouterr().out)
         jsonschema.validate(payload, load_schema("bench_result.schema.json"))
+        assert len(payload) == 1
+        assert payload[0]["scenario"] == "doctors-like"
+        assert payload[0]["scale"] == 15
         assert payload[0]["variant"] == "ichase"
         assert payload[0]["status"] == "fixpoint"
+
+    def test_negative_step_budget_exits_2(self, capsys):
+        rc = main(["bench", "--persons", "5", "--companies", "5", "--repetitions", "1", "--max-steps", "-1"])
+        assert rc == 2
+        assert "error: the step budget must be >= 0" in capsys.readouterr().err
 
 
 class TestGenerate:

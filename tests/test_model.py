@@ -69,11 +69,10 @@ def test_position_is_one_based():
     assert str(Position("p", 2)) == "p[2]"
 
 
-def test_rule_frontier_and_existentials():
+def test_rule_existentials():
     body = [Atom("e", [Variable("X")])]
     head = [Atom("i", [Variable("X"), Variable("Y")])]
     rule = Rule.make(0, body, head)
-    assert rule.frontier == frozenset({"X"})
     assert rule.existential_vars == frozenset({"Y"})
 
 

@@ -94,20 +94,15 @@ class TestEvaluateQuery:
             )
             assert Atom(atom.predicate, image) in run.result
 
-    def test_unknown_predicate_warns_and_answers_false(self):
-        program = parse_program("p(a).")
-        inst = Instance.from_facts(program.facts)
-        query = Query(atoms=(Atom("ghost", (Variable("X"),)),))
-        ans = evaluate_query(query, inst, program.schema)
-        assert ans.verdict is False
-        assert ans.warnings and "ghost" in ans.warnings[0]
-
     def test_empty_predicate_is_false_without_warning(self):
+        # an empty predicate and one the program never mentions alike;
+        # parse_query is what warns about the latter
         program = parse_program("p(a).\nr(X) :- p(X), q(X).\nq(b).")
         inst = Instance.from_facts(program.facts)
-        ans = evaluate_query(q("?- r(X).", program), inst, program.schema)
-        assert ans.verdict is False
-        assert ans.warnings == []
+        for query in (q("?- r(X).", program), Query(atoms=(Atom("ghost", (Variable("X"),)),))):
+            ans = evaluate_query(query, inst)
+            assert ans.verdict is False
+            assert ans.warnings == []
 
     def test_output_tuples_sorted_and_deduplicated(self):
         inst = Instance.from_facts(
@@ -143,8 +138,8 @@ class TestEvaluateQuery:
             query = generate_random_query(program, seed + 1)
             small = run_chase(program, pchase(), max_steps=10_000).result
             big = run_chase(program, pchase_r(2), max_steps=10_000).result
-            before = evaluate_query(query, small, program.schema)
-            after = evaluate_query(query, big, program.schema)
+            before = evaluate_query(query, small)
+            after = evaluate_query(query, big)
             if before.verdict:
                 assert after.verdict
 
@@ -492,11 +487,12 @@ def test_plain_ichase_false_on_recursive_program_warns():
     assert true_answer.verdict is True and true_answer.warnings == []
     resumed, _ = answer_with_variant(program, query, ichase(1))
     assert resumed.warnings == []
-    # an unknown predicate is false under every variant; only that is said
+    # an unknown predicate is false under every variant, and only
+    # parse_query warns about it
     ghost, _ = answer_with_variant(
         program, Query(atoms=(Atom("ghost", (Variable("X"),)),)), ichase()
     )
-    assert len(ghost.warnings) == 1 and "ghost" in ghost.warnings[0]
+    assert ghost.verdict is False and ghost.warnings == []
 
 
 def test_plain_ichase_false_on_terminating_program_does_not_warn():

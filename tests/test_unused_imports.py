@@ -1,0 +1,67 @@
+"""Every name a module of the package imports is used in that module.
+
+``__init__.py`` is left out: its imports are the public surface.  A name
+counts as used when it is read as a name (which covers the base of an
+attribute, ``mod.attr``) or when it occurs inside a string annotation,
+such as ``Optional["Query"]`` under ``TYPE_CHECKING``.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dlgx"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    names: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _annotations(tree: ast.AST):
+    """Every annotation node; ``None`` where a name has none."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            yield node.returns
+            yield from (arg.annotation for arg in every if arg is not None)
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used(tree: ast.AST) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in filter(None, _annotations(tree)):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= _used(ast.parse(node.value, mode="eval"))
+    return used
+
+
+def _unused(source: str) -> list[str]:
+    tree = ast.parse(source)
+    used = _used(tree)
+    return [f"{line}: {name}" for name, line in _imported(tree).items() if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_has_no_unused_import(path):
+    assert _unused(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_reads_names_attributes_and_string_annotations():
+    source = (
+        "import os\nimport json\nfrom typing import TYPE_CHECKING, Optional\n"
+        "if TYPE_CHECKING:\n    from .query import Query\n"
+        "def f(q: Optional['Query']) -> None:\n    os.path.join()\n"
+    )
+    assert _unused(source) == ["2: json"]

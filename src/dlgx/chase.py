@@ -53,9 +53,10 @@ blocker compiles it as a pattern whose plan depends only on its shape.
 """
 from __future__ import annotations
 
+import gc
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -574,6 +575,30 @@ _BLOCKS: dict[Optional[str], Callable[[list[Atom], Instance], bool]] = {
 }
 
 
+def _without_cycle_collection(func):
+    """Run ``func`` with the cyclic garbage collector paused.
+
+    The chase makes no reference cycles, so a collection frees nothing;
+    refcounting frees what the run drops.  Each full collection walks
+    every live object, so the collector's share of a run grows with the
+    instance: on 10k-entity psc it was about a third of the chase time,
+    and the chase took ~17x as long as on a tenth of the input.
+    """
+
+    @wraps(func)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return paused
+
+
+@_without_cycle_collection
 def run_chase(
     program: Program,
     variant: ChaseVariant,

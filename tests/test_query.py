@@ -94,15 +94,25 @@ class TestEvaluateQuery:
             )
             assert Atom(atom.predicate, image) in run.result
 
+    def test_unknown_predicate_warns_and_answers_false(self):
+        # parse_query warns about the unknown predicate, once, with its
+        # position; evaluate_query answers false and adds no second warning
+        program = parse_program("p(a).")
+        inst = Instance.from_facts(program.facts)
+        diags = []
+        query = parse_query("?- ghost(X).", schema=program.schema, diagnostics=diags)
+        assert len(diags) == 1 and diags[0].severity == "warning"
+        assert "ghost" in diags[0].message
+        ans = evaluate_query(query, inst)
+        assert ans.verdict is False
+        assert ans.warnings == []
+
     def test_empty_predicate_is_false_without_warning(self):
-        # an empty predicate and one the program never mentions alike;
-        # parse_query is what warns about the latter
         program = parse_program("p(a).\nr(X) :- p(X), q(X).\nq(b).")
         inst = Instance.from_facts(program.facts)
-        for query in (q("?- r(X).", program), Query(atoms=(Atom("ghost", (Variable("X"),)),))):
-            ans = evaluate_query(query, inst)
-            assert ans.verdict is False
-            assert ans.warnings == []
+        ans = evaluate_query(q("?- r(X).", program), inst)
+        assert ans.verdict is False
+        assert ans.warnings == []
 
     def test_output_tuples_sorted_and_deduplicated(self):
         inst = Instance.from_facts(

@@ -61,7 +61,6 @@ from .generator import (
 )
 from .model import (
     Atom,
-    Constant,
     Instance,
     Null,
     Position,
@@ -69,7 +68,6 @@ from .model import (
     Rule,
     SchemaError,
     Variable,
-    constant,
     format_instance,
     freeze_nulls,
 )
@@ -101,7 +99,6 @@ __all__ = [
     "BenchResult",
     "ChaseRun",
     "ChaseVariant",
-    "Constant",
     "DifferentialReport",
     "FragmentVerdicts",
     "GeneratorConstraintViolation",
@@ -131,7 +128,6 @@ __all__ = [
     "compare_chase_containment",
     "compute_affected",
     "compute_invaded",
-    "constant",
     "default_resumptions",
     "differential_bcqa",
     "evaluate_query",

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 from .analysis import analyze
 from .chase import ChaseVariant, run_chase
-from .model import Atom, Program, Rule, Variable, constant
+from .model import Atom, Program, Rule, Variable
 from .parser import print_program, print_query
 from .query import Query, evaluate_query
 
@@ -122,18 +122,18 @@ def generate_psc(spec: ScenarioSpec) -> Scenario:
     rng = random.Random(spec.seed)
     facts: list[Atom] = []
     for j in range(spec.companies):
-        facts.append(Atom("company", [constant(f"c{j}")]))
+        facts.append(Atom("company", [f"c{j}"]))
     for i in range(spec.persons):
-        facts.append(Atom("person", [constant(f"p{i}")]))
+        facts.append(Atom("person", [f"p{i}"]))
     # company-to-company chains, capped at groups of _PSC_GROUP
     for j in range(spec.companies - 1):
         if j % _PSC_GROUP != _PSC_GROUP - 1 and rng.random() < spec.density:
-            facts.append(Atom("controls", [constant(f"c{j}"), constant(f"c{j + 1}")]))
+            facts.append(Atom("controls", [f"c{j}", f"c{j + 1}"]))
     # person-to-company edges
     for i in range(spec.persons):
         if rng.random() < spec.density:
             j = rng.randrange(spec.companies)
-            facts.append(Atom("controls", [constant(f"p{i}"), constant(f"c{j}")]))
+            facts.append(Atom("controls", [f"p{i}", f"c{j}"]))
     program = Program(rules=_psc_rules(), facts=tuple(facts))
     _require_protected(program, spec.name)
     p, c = _v("P"), _v("C")
@@ -171,18 +171,18 @@ def generate_doctors_like(spec: ScenarioSpec) -> Scenario:
     rng = random.Random(spec.seed)
     facts: list[Atom] = []
     for j in range(spec.doctors):
-        facts.append(Atom("doctor", [constant(f"d{j}")]))
+        facts.append(Atom("doctor", [f"d{j}"]))
         facts.append(
-            Atom("specialty", [constant(f"d{j}"), constant(_SPECIALTIES[j % 5])])
+            Atom("specialty", [f"d{j}", _SPECIALTIES[j % 5]])
         )
     for i in range(spec.patients):
-        facts.append(Atom("patient", [constant(f"p{i}")]))
-        facts.append(Atom("treated", [constant(f"p{i}"), constant(f"d{i % spec.doctors}")]))
+        facts.append(Atom("patient", [f"p{i}"]))
+        facts.append(Atom("treated", [f"p{i}", f"d{i % spec.doctors}"]))
         if rng.random() < spec.density and spec.doctors > 1:
             facts.append(
                 Atom(
                     "treated",
-                    [constant(f"p{i}"), constant(f"d{rng.randrange(spec.doctors)}")],
+                    [f"p{i}", f"d{rng.randrange(spec.doctors)}"],
                 )
             )
     seen: dict[Atom, None] = {}
@@ -300,7 +300,7 @@ def write_scenario(scenario: Scenario, out_dir: str | Path) -> dict[str, Path]:
         with open(fact_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             for fact in by_pred[pred]:
-                writer.writerow([t.symbol for t in fact.terms])
+                writer.writerow(fact.terms)
         written[f"facts:{pred}"] = fact_path
     for i, query in enumerate(scenario.queries, start=1):
         query_path = out / f"q{i}.query"

@@ -645,6 +645,7 @@ def run_chase(
     plan_of = {plan.rule_id: plan for plan in plans}
     instance = Instance.from_facts(program.facts)
     records: Optional[list[TraceRecord]] = [] if trace else None
+    budget = _ALL if max_steps is None else max_steps
     fired_steps = 0
     minted = 0  # nulls minted so far; the next one is numbered minted + 1
     blocked = 0
@@ -661,13 +662,13 @@ def run_chase(
         while delta and status == FIXPOINT:
             added: list[Atom] = []
             # without a blocker, one trigger past the budget left ends the run
-            limit = _ALL if blocker or max_steps is None else max_steps - fired_steps + 1
+            limit = _ALL if blocker else budget - fired_steps + 1
             for rule_id, values in _level_triggers(plans, instance, delta, limit):
                 plan = plan_of[rule_id]
                 fresh = [Null(minted + k + 1, instance.active_epoch) for k in range(plan.fresh)]
                 head = plan.instantiate(values, fresh)
                 block = blocker if blocks(head, instance) else None
-                if block is None and max_steps is not None and fired_steps >= max_steps:
+                if block is None and fired_steps >= budget:
                     status = STEP_LIMIT
                     break
                 if records is not None:

@@ -46,7 +46,7 @@ from .parser import (
     print_program,
     print_query,
 )
-from .query import Query, answer_with_variant, default_resumptions, differential_bcqa
+from .query import DIFF_BUDGET, Query, answer_with_variant, default_resumptions, differential_bcqa
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -192,9 +192,8 @@ def cmd_diff(args: argparse.Namespace) -> int:
     query, warnings = _load_query(args, program)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    budget = args.max_steps if args.max_steps is not None else 10_000
     report = differential_bcqa(
-        program, query, budget=budget, resumptions=args.resumptions
+        program, query, budget=args.max_steps, resumptions=args.resumptions
     )
     if args.format == "json":
         print(_json(report.to_json_dict()))
@@ -321,7 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diff", help="cross-variant differential query answering")
     _add_program_flags(p)
     p.add_argument("--query", required=True)
-    p.add_argument("--max-steps", type=int, help="per-variant step budget (default 10000)")
+    p.add_argument(
+        "--max-steps", type=int, default=DIFF_BUDGET, help="per-variant step budget (default %(default)s)"
+    )
     p.add_argument("--resumptions", type=int)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_diff)

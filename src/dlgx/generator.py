@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .analysis import AnalysisReport
-from .model import Atom, Program, Rule, Term, Variable, constant
+from .model import Atom, Program, Rule, Term, Variable
 from .query import Query
 
 
@@ -33,7 +33,7 @@ DEFAULT_PROFILE = GeneratorProfile()
 def _atom(pred: str, names: Sequence[str]) -> Atom:
     terms: list[Term] = []
     for n in names:
-        terms.append(Variable(n) if n[0].isupper() else constant(n))
+        terms.append(Variable(n) if n[0].isupper() else n)
     return Atom(pred, terms)
 
 
@@ -190,7 +190,7 @@ def generate_random_program(
     for pred, arity in edb:
         count = min(rng.randint(1, 3), max(1, budget))
         for _ in range(count):
-            row = [constant(rng.choice(profile.constant_pool)) for _ in range(arity)]
+            row = [rng.choice(profile.constant_pool) for _ in range(arity)]
             fact = Atom(pred, row)
             if fact not in facts:
                 facts.append(fact)
@@ -209,7 +209,7 @@ def generate_random_query(program: Program, seed: int, max_atoms: int = 3) -> Qu
     all_preds = sorted(schema)
     pool = head_preds * 3 + all_preds if head_preds else all_preds
     n = rng.randint(1, max_atoms)
-    constants = sorted({t.symbol for f in program.facts for t in f.terms})
+    constants = sorted({t for f in program.facts for t in f.terms})
     atoms: list[Atom] = []
     var_count = 0
     link: Optional[str] = None

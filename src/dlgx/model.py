@@ -1,9 +1,10 @@
 """Core syntactic objects: terms, atoms, rules, programs, and instances.
 
-Terms are constants, variables, and labelled nulls.  Nulls carry the
-resumption epoch they were created in; an :class:`Instance` tracks the
-current epoch, and nulls from earlier epochs are "frozen": they behave
-like constants in homomorphism checks while still printing as nulls.
+Terms are constants (a plain ``str``, the symbol), variables and labelled
+nulls.  Nulls carry the resumption epoch they were created in; an
+:class:`Instance` tracks the current epoch, and nulls from earlier epochs
+are "frozen": they behave like constants in homomorphism checks while
+still printing as nulls.
 """
 from __future__ import annotations
 
@@ -11,14 +12,6 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence, Union
-
-
-@dataclass(frozen=True, slots=True)
-class Constant:
-    symbol: str
-
-    def __str__(self) -> str:
-        return format_term(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,24 +31,13 @@ class Null:
         return format_term(self)
 
 
-Term = Union[Constant, Variable, Null]
-
-_constants: dict[str, Constant] = {}
-
-
-def constant(symbol: str) -> Constant:
-    """Interned constant factory; equal symbols share one object."""
-    c = _constants.get(symbol)
-    if c is None:
-        c = Constant(symbol)
-        _constants[symbol] = c
-    return c
+Term = Union[str, Variable, Null]
 
 
 def term_sort_key(term: Term) -> tuple:
     """Total deterministic order over terms: constants, then nulls, then variables."""
-    if isinstance(term, Constant):
-        return (0, term.symbol)
+    if isinstance(term, str):
+        return (0, term)
     if isinstance(term, Null):
         return (1, term.epoch, term.counter)
     return (2, term.name)
@@ -65,11 +47,11 @@ _BARE_CONSTANT = re.compile(r"[a-z][A-Za-z0-9_]*$|[0-9][0-9]*$")
 
 
 def format_term(term: Term) -> str:
-    if isinstance(term, Constant):
-        if _BARE_CONSTANT.match(term.symbol):
-            return term.symbol
+    if isinstance(term, str):
+        if _BARE_CONSTANT.match(term):
+            return term
         # a raw newline would end the string; backslash-newline reads back as one
-        escaped = term.symbol.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\\n")
+        escaped = term.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\\n")
         return f'"{escaped}"'
     if isinstance(term, Null):
         return f"_:e{term.epoch}n{term.counter}"
@@ -201,7 +183,7 @@ class Program:
 
     def __post_init__(self) -> None:
         for fact in self.facts:
-            if not all(isinstance(t, Constant) for t in fact.terms):
+            if not all(isinstance(t, str) for t in fact.terms):
                 raise ValueError(f"fact {format_atom(fact)} must contain constants only")
         self.schema  # force arity validation
 

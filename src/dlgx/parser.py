@@ -17,18 +17,17 @@ from __future__ import annotations
 
 import csv
 import re
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NoReturn, Optional, Sequence
 
 from .model import (
     Atom,
-    Constant,
     Program,
     Rule,
     Term,
     Variable,
-    constant,
     format_atom,
 )
 from .query import Query
@@ -146,10 +145,11 @@ class _Parser:
 
     def term(self) -> Term:
         kind, text, offset = self.next()
+        # equal constants share one object, so joins mostly compare by identity
         if kind == "STRING":
-            return constant(text)
+            return sys.intern(text)
         if kind == "IDENT":
-            return Variable(text) if text[0].isupper() else constant(text)
+            return Variable(text) if text[0].isupper() else sys.intern(text)
         self.fail(f"expected a term, found {text or 'end of input'!r}", offset)
 
     def atom(self) -> tuple[Atom, int]:
@@ -205,7 +205,7 @@ def parse_program(text: str, filename: str = "<input>") -> Program:
                 )
                 continue
             atom, offset = atoms[0]
-            if not all(isinstance(t, Constant) for t in atom.terms):
+            if not all(isinstance(t, str) for t in atom.terms):
                 parser.errors.append(parser.error(f"facts must be ground: {format_atom(atom)}", offset))
                 continue
             facts.append(atom)
@@ -246,7 +246,7 @@ def parse_query(
 
     With a ``schema``, arity mismatches are errors, and an unknown
     predicate is a warning with its position, appended to ``diagnostics``
-    (evaluation answers false and says nothing more).
+    or dropped without that list; evaluation answers false silently.
     """
     parser = _Parser(text, filename)
     parser.expect("QUERY", "'?-'")
@@ -326,5 +326,5 @@ def load_facts_csv(
                         )
                     ]
                 )
-            facts.append(Atom(predicate, [constant(cell) for cell in row]))
+            facts.append(Atom(predicate, [sys.intern(cell) for cell in row]))
     return facts

@@ -90,7 +90,7 @@ def evaluate_query(query: Query, instance: Instance) -> Answer:
     """Evaluate against a fixed instance.
 
     A query predicate with no fact makes the query false, with no warning:
-    :func:`dlgx.parser.parse_query` warns about one the program lacks.
+    only :func:`dlgx.parser.parse_query` warns, into its ``diagnostics``.
     """
     plan = compile_body(query.atoms)
     if query.is_boolean:
@@ -116,6 +116,7 @@ CHAIN_WARNING = (
     "query joins on nulls: its renaming blocker folds parallel null chains; "
     "check with `dlgx diff` or --variant pchase-r --resumptions {k}"
 )
+DIFF_BUDGET = 10_000  # per-variant step budget of the differential harness
 
 
 def answer_with_variant(
@@ -226,7 +227,7 @@ def differential_bcqa(
     program: Program,
     query: Query,
     *,
-    budget: int = 10_000,
+    budget: int = DIFF_BUDGET,
     resumptions: Optional[int] = None,
 ) -> DifferentialReport:
     """Answer the query under pchase-r and ichase, each with ``resumptions``

@@ -13,7 +13,6 @@ import collections
 import io
 import json
 import statistics
-import sys
 import time
 from contextlib import redirect_stdout
 
@@ -174,7 +173,7 @@ def test_criterion_5_blocking_fixture():
         and len(i_run.result) == 3
         and len(extras) == 1
         and extras[0].predicate == "q"
-        and extras[0].terms[0].symbol == "a"
+        and extras[0].terms[0] == "a"
     )
     report(
         5,

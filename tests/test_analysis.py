@@ -4,7 +4,6 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
-import pytest
 
 from dlgx.analysis import (
     ATTACKED_HARMFUL,

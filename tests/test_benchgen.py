@@ -12,7 +12,6 @@ from dlgx.benchgen import (
     write_scenario,
 )
 from dlgx.chase import ichase, pchase_r, run_chase
-from dlgx.model import Atom, constant
 from dlgx.parser import parse_program, print_program
 from dlgx.query import evaluate_query
 
@@ -92,10 +91,10 @@ def test_psc_fact_arithmetic():
     # density 1.0: every person controls a company, every in-group
     # company edge present (group boundaries drop one edge in four)
     chain_edges = [
-        f for f in by_pred["controls"] if f.terms[0].symbol.startswith("c")
+        f for f in by_pred["controls"] if f.terms[0].startswith("c")
     ]
     person_edges = [
-        f for f in by_pred["controls"] if f.terms[0].symbol.startswith("p")
+        f for f in by_pred["controls"] if f.terms[0].startswith("p")
     ]
     assert len(person_edges) == 20
     assert len(chain_edges) == sum(1 for j in range(9) if j % 4 != 3)
@@ -109,13 +108,13 @@ def test_psc_three_node_chain_derives_transitive_control():
     entry = next(
         f
         for f in scenario.program.facts
-        if f.predicate == "controls" and f.terms[0].symbol == "p0"
+        if f.predicate == "controls" and f.terms[0] == "p0"
     )
-    start = int(entry.terms[1].symbol[1:])
+    start = int(entry.terms[1][1:])
     run = run_chase(scenario.program, ichase(), max_steps=50_000)
     assert run.status == "fixpoint"
     answer = evaluate_query(scenario.queries[0], run.result)
-    rows = {tuple(t.symbol for t in row) for row in answer.tuples}
+    rows = {tuple(t for t in row) for row in answer.tuples}
     assert rows == {("p0", f"c{j}") for j in range(start, 3)}
 
 

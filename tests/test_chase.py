@@ -9,7 +9,6 @@ import jsonschema
 import pytest
 
 from dlgx.chase import (
-    ChaseRun,
     ChaseVariant,
     NonTerminationRiskError,
     _level_triggers,
@@ -31,7 +30,6 @@ from dlgx.model import (
     Instance,
     Null,
     Variable,
-    constant,
     format_instance,
     freeze_nulls,
     term_sort_key,
@@ -41,11 +39,8 @@ from dlgx.parser import parse_program
 import reference_matcher as reference
 
 
-def atom(pred: str, *syms) -> Atom:
-    terms = []
-    for s in syms:
-        terms.append(s if isinstance(s, (Null, Variable)) else constant(s))
-    return Atom(pred, tuple(terms))
+def atom(pred: str, *terms) -> Atom:
+    return Atom(pred, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -57,8 +52,8 @@ class TestFindHomomorphisms:
         target = Instance.from_facts([atom("q", "a", "b"), atom("q", "b", "c")])
         pattern = [Atom("q", (Variable("X"), Variable("Y")))]
         assert exists_homomorphism(pattern, target) == {
-            Variable("X"): constant("a"),
-            Variable("Y"): constant("b"),
+            Variable("X"): "a",
+            Variable("Y"): "b",
         }
         assert exists_homomorphism([Atom("q", (Variable("X"), Variable("X")))], target) is None
 
@@ -70,7 +65,7 @@ class TestFindHomomorphisms:
         ]
         subst = exists_homomorphism(pattern, target)
         assert subst is not None
-        assert subst[Variable("Y")] == constant("b")
+        assert subst[Variable("Y")] == "b"
 
     def test_unfrozen_null_is_free_when_asked(self):
         nu = Null(0, 1)
@@ -297,7 +292,7 @@ def test_ichase_fires_despite_witness():
     fresh = [f for f in run.result if any(isinstance(t, Null) for t in f.terms)]
     assert len(fresh) == 1
     assert fresh[0].predicate == "q"
-    assert fresh[0].terms[0] == constant("a")
+    assert fresh[0].terms[0] == "a"
 
 
 def test_two_path_pchase_stops_after_one_hop():
@@ -491,10 +486,10 @@ def test_multi_atom_head_shares_its_existential():
     run = run_chase(program, pchase())
     facts = {(f.predicate, f.terms[0]): f for f in run.result}
     for x in ("a", "b"):
-        q_fact, s_fact = facts[("q", constant(x))], facts[("s", facts[("q", constant(x))].terms[1])]
+        q_fact, s_fact = facts[("q", x)], facts[("s", facts[("q", x)].terms[1])]
         assert isinstance(q_fact.terms[1], Null)
-        assert s_fact.terms == (q_fact.terms[1], constant(x), constant("c"))
-    assert facts[("q", constant("a"))].terms[1] != facts[("q", constant("b"))].terms[1]
+        assert s_fact.terms == (q_fact.terms[1], x, "c")
+    assert facts[("q", "a")].terms[1] != facts[("q", "b")].terms[1]
 
 
 def test_resumption_freezes_then_extends():

@@ -2,7 +2,6 @@ import pytest
 
 from dlgx.model import (
     Atom,
-    Constant,
     Instance,
     Null,
     Position,
@@ -10,24 +9,29 @@ from dlgx.model import (
     Rule,
     SchemaError,
     Variable,
-    constant,
     format_instance,
     format_term,
     freeze_nulls,
     term_sort_key,
 )
+from dlgx.parser import load_facts_csv, parse_program
 
 
 def test_term_namespaces_are_disjoint():
-    assert Constant("a") != Variable("a")
-    assert Constant("a") != Null(1)
+    assert "a" != Variable("a")
+    assert "a" != Null(1)
     assert Variable("X") != Null(1)
-    assert len({Constant("a"), Variable("a"), Null(1)}) == 3
+    assert len({"a", Variable("a"), Null(1)}) == 3
 
 
-def test_constant_interning():
-    assert constant("abc") is constant("abc")
-    assert constant("abc") == Constant("abc")
+def test_constant_interning(tmp_path):
+    # a one-character symbol is shared by CPython anyway, so use longer ones
+    e, f = parse_program('e(alice).\nf("alice").').facts
+    assert e.terms[0] is f.terms[0]
+    path = tmp_path / "rows.csv"
+    path.write_text("New York,x\nNew York,y\n", encoding="utf-8")
+    first, second = load_facts_csv("city", str(path))
+    assert first.terms[0] is second.terms[0]
 
 
 def test_null_identity_includes_epoch():
@@ -36,28 +40,28 @@ def test_null_identity_includes_epoch():
 
 
 def test_term_formatting():
-    assert format_term(constant("abc")) == "abc"
-    assert format_term(constant("New York")) == '"New York"'
-    assert format_term(constant('say "hi"')) == '"say \\"hi\\""'
-    assert format_term(constant("42")) == "42"
+    assert format_term("abc") == "abc"
+    assert format_term("New York") == '"New York"'
+    assert format_term('say "hi"') == '"say \\"hi\\""'
+    assert format_term("42") == "42"
     assert format_term(Variable("X")) == "X"
     assert format_term(Null(3)) == "_:e0n3"
     assert format_term(Null(3, 2)) == "_:e2n3"
 
 
 def test_term_sort_key_orders_constants_nulls_variables():
-    terms = [Variable("A"), Null(1), constant("z"), constant("a"), Null(2, 1)]
+    terms = [Variable("A"), Null(1), "z", "a", Null(2, 1)]
     ordered = sorted(terms, key=term_sort_key)
-    assert ordered == [constant("a"), constant("z"), Null(1), Null(2, 1), Variable("A")]
+    assert ordered == ["a", "z", Null(1), Null(2, 1), Variable("A")]
 
 
 def test_atom_basics():
-    a = Atom("p", [constant("a"), Variable("X")])
+    a = Atom("p", ["a", Variable("X")])
     assert a.predicate == "p"
     assert a.arity == 2
     assert set(a.variables()) == {Variable("X")}
-    assert Atom("p", [constant("a"), Variable("X")]) == a
-    assert hash(Atom("p", [constant("a"), Variable("X")])) == hash(a)
+    assert Atom("p", ["a", Variable("X")]) == a
+    assert hash(Atom("p", ["a", Variable("X")])) == hash(a)
 
 
 def test_atom_requires_terms():
@@ -87,12 +91,12 @@ def test_rule_rejects_empty_parts_and_nulls():
 
 def test_program_schema_consistency():
     rule = Rule.make(0, [Atom("e", [Variable("X")])], [Atom("i", [Variable("X")])])
-    program = Program(rules=(rule,), facts=(Atom("e", [constant("a")]),))
+    program = Program(rules=(rule,), facts=(Atom("e", ["a"]),))
     assert program.schema == {"e": 1, "i": 1}
     with pytest.raises(SchemaError):
         bad = Program(
             rules=(rule,),
-            facts=(Atom("e", [constant("a"), constant("b")]),),
+            facts=(Atom("e", ["a", "b"]),),
         )
         bad.schema  # noqa: B018 - arity clash surfaces on schema access
 
@@ -110,7 +114,7 @@ def test_program_facts_must_be_ground():
 
 def test_instance_set_semantics():
     inst = Instance()
-    f = Atom("p", [constant("a")])
+    f = Atom("p", ["a"])
     assert inst.add(f)
     assert not inst.add(f)
     assert len(inst) == 1
@@ -126,6 +130,6 @@ def test_freeze_nulls_marks_prior_epochs():
 
 def test_format_instance_is_sorted_and_stable():
     inst = Instance()
-    inst.add(Atom("q", [constant("b")]))
-    inst.add(Atom("p", [constant("a"), Null(1)]))
+    inst.add(Atom("q", ["b"]))
+    inst.add(Atom("p", ["a", Null(1)]))
     assert format_instance(inst) == "p(a, _:e0n1).\nq(b).\n"

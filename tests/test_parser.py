@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dlgx.model import Atom, Variable, constant
+from dlgx.model import Atom, Variable
 from dlgx.parser import (
     ParseError,
     load_facts_csv,
@@ -15,7 +15,7 @@ from dlgx.parser import (
 
 def test_parse_fact_and_rule():
     program = parse_program("e1(c).\ni1(X, Y) :- e1(X).\n")
-    assert program.facts == (Atom("e1", [constant("c")]),)
+    assert program.facts == (Atom("e1", ["c"]),)
     (rule,) = program.rules
     assert rule.body == (Atom("e1", [Variable("X")]),)
     assert rule.head == (Atom("i1", [Variable("X"), Variable("Y")]),)
@@ -44,8 +44,8 @@ def test_comments_and_whitespace():
 def test_quoted_constants():
     program = parse_program('e1("New York", "say \\"hi\\"").')
     (fact,) = program.facts
-    assert fact.terms[0].symbol == "New York"
-    assert fact.terms[1].symbol == 'say "hi"'
+    assert fact.terms[0] == "New York"
+    assert fact.terms[1] == 'say "hi"'
 
 
 def test_rule_ids_are_ordinal():
@@ -97,7 +97,7 @@ def test_identifier_may_not_start_with_a_numeric_character():
 
 def test_identifier_characters():
     (fact,) = parse_program("e(a½, é, _x, 12).").facts
-    assert [t.symbol for t in fact.terms] == ["a½", "é", "_x", "12"]
+    assert [t for t in fact.terms] == ["a½", "é", "_x", "12"]
 
 
 def test_every_arity_clash_is_reported_on_its_line():
@@ -200,8 +200,8 @@ def test_load_facts_csv(tmp_path):
     path.write_text("alice,acme\nbob,initech\n", encoding="utf-8")
     facts = load_facts_csv("owns", str(path))
     assert facts == [
-        Atom("owns", [constant("alice"), constant("acme")]),
-        Atom("owns", [constant("bob"), constant("initech")]),
+        Atom("owns", ["alice", "acme"]),
+        Atom("owns", ["bob", "initech"]),
     ]
 
 
@@ -209,7 +209,7 @@ def test_load_facts_csv_newline_cell_round_trips(tmp_path):
     path = tmp_path / "owns.csv"
     path.write_text('"line one\nline two",acme\n', encoding="utf-8")
     facts = load_facts_csv("owns", str(path))
-    assert facts == [Atom("owns", [constant("line one\nline two"), constant("acme")])]
+    assert facts == [Atom("owns", ["line one\nline two", "acme"])]
     program = parse_program("").with_facts(facts)
     assert parse_program(print_program(program)) == program
 

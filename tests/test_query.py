@@ -8,11 +8,10 @@ import pytest
 
 from dlgx.chase import ichase, oblivious, pchase, pchase_r, run_chase
 from dlgx.generator import generate_random_program, generate_random_query
-from dlgx.model import Atom, Instance, Null, Variable, constant
+from dlgx.model import Atom, Instance, Null, Variable
 from dlgx.parser import parse_program, parse_query
 from dlgx.query import (
     CHAIN_WARNING,
-    Answer,
     Query,
     answer_with_variant,
     default_resumptions,
@@ -69,14 +68,14 @@ def q(text: str, program=None) -> Query:
 class TestEvaluateQuery:
     def test_boolean_true_with_witness(self):
         inst = Instance.from_facts(
-            [Atom("q", (constant("a"), constant("b")))]
+            [Atom("q", ("a", "b"))]
         )
         ans = evaluate_query(q("?- q(X, Y)."), inst)
         assert ans.verdict is True
-        assert ans.witness == {"X": constant("a"), "Y": constant("b")}
+        assert ans.witness == {"X": "a", "Y": "b"}
 
     def test_boolean_false(self):
-        inst = Instance.from_facts([Atom("p", (constant("a"),))])
+        inst = Instance.from_facts([Atom("p", ("a",))])
         ans = evaluate_query(q("?- p(b)."), inst)
         assert ans.verdict is False
         assert ans.witness is None
@@ -117,9 +116,9 @@ class TestEvaluateQuery:
     def test_output_tuples_sorted_and_deduplicated(self):
         inst = Instance.from_facts(
             [
-                Atom("e", (constant("b"), constant("c"))),
-                Atom("e", (constant("a"), constant("c"))),
-                Atom("e", (constant("a"), constant("b"))),
+                Atom("e", ("b", "c")),
+                Atom("e", ("a", "c")),
+                Atom("e", ("a", "b")),
             ]
         )
         query = Query(
@@ -127,14 +126,14 @@ class TestEvaluateQuery:
             output_vars=("X",),
         )
         ans = evaluate_query(query, inst)
-        assert ans.tuples == [(constant("a"),), (constant("b"),)]
+        assert ans.tuples == [("a",), ("b",)]
 
     def test_output_tuples_sort_by_term_order_across_kinds(self):
         # constants before nulls, nulls by epoch then counter, row by row
-        terms = [constant("b"), constant("a"), Null(2, 1), Null(10, 0), Null(3, 0)]
+        terms = ["b", "a", Null(2, 1), Null(10, 0), Null(3, 0)]
         inst = Instance.from_facts(Atom("e", (x, y)) for x in terms for y in terms)
         query = Query(atoms=(Atom("e", (Variable("X"), Variable("Y"))),), output_vars=("X", "Y"))
-        order = [constant("a"), constant("b"), Null(3, 0), Null(10, 0), Null(2, 1)]
+        order = ["a", "b", Null(3, 0), Null(10, 0), Null(2, 1)]
         expected = [(x, y) for x in order for y in order]
         assert evaluate_query(query, inst).tuples == expected
 
@@ -248,7 +247,7 @@ class TestAnswerWithVariant:
         query = q("?- mid2(Q1, Q2), mid2(Q3, Q1), mid2(X, Q3).\nX", program)
         for variant in (ichase(3), pchase_r(3)):
             ans, _ = answer_with_variant(program, query, variant)
-            assert {constant("a"), constant("e")} <= {row[0] for row in ans.tuples}
+            assert {"a", "e"} <= {row[0] for row in ans.tuples}
             full = evaluate_query(query, run_chase(program, variant).result)
             assert ans.tuples == full.tuples, variant
 
@@ -275,7 +274,7 @@ class TestEarlyStop:
         assert ans.verdict is True and ans.chase_status == "query-satisfied"
         assert max(r.level for r in run.trace) == 3
         last = [r for r in run.trace if r.fired and r.level == 3]
-        assert any(r.subst == {"C": constant("c3"), "P": constant("p1")} for r in last)
+        assert any(r.subst == {"C": "c3", "P": "p1"} for r in last)
         assert run.fired_steps < full.fired_steps
 
     def test_answer_set_queries_never_end_query_satisfied(self):

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package or a test file imports is used in
+that file.
 
 ``__init__.py`` is left out: its imports are the public surface.  A name
 counts as used when it is read as a name (which covers the base of an
@@ -12,6 +13,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dlgx"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -55,6 +57,11 @@ def _unused(source: str) -> list[str]:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
+    assert _unused(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
+def test_test_file_has_no_unused_import(path):
     assert _unused(path.read_text(encoding="utf-8")) == []
 
 

@@ -96,9 +96,7 @@ class AnalysisReport:
             "affected": sorted(str(p) for p in self.affected),
             "invaded": {
                 str(pos): sorted(str(e) for e in invaders)
-                for pos, invaders in sorted(
-                    self.invaded.items(), key=lambda kv: (kv[0].predicate, kv[0].index)
-                )
+                for pos, invaders in sorted(self.invaded.items())
             },
             "rules": [
                 {
@@ -257,7 +255,7 @@ def classify_variables(
 
 def check_shy(
     program: Program, classifications: list[RuleClassification]
-) -> tuple[bool, list[Violation]]:
+) -> list[Violation]:
     """Shyness: joins only on non-attacked variables (S1), and no pair of
     dangerous variables in different body atoms shares an attacker (S2)."""
     violations: list[Violation] = []
@@ -302,12 +300,12 @@ def check_shy(
                             ),
                         )
                     )
-    return (not violations, violations)
+    return violations
 
 
 def check_warded(
     program: Program, classifications: list[RuleClassification]
-) -> tuple[bool, list[Violation]]:
+) -> list[Violation]:
     """Wardedness: per rule, all dangerous variables in one body atom (W1)
     that shares only harmless variables with the rest of the body (W2)."""
     violations: list[Violation] = []
@@ -355,20 +353,21 @@ def check_warded(
                     ),
                 )
             )
-    return (not violations, violations)
+    return violations
 
 
 def check_protected(
     program: Program,
     classifications: list[RuleClassification],
-    shy: tuple[bool, list[Violation]],
-    warded: tuple[bool, list[Violation]],
-) -> tuple[bool, list[Violation]]:
+    shy: list[Violation],
+    warded: list[Violation],
+) -> list[Violation]:
     """Direct protected check: no attacked-harmful join variables (P1) and
     warded (P2).  Cross-checked against shy-and-warded; a mismatch means
     the analysis itself is broken and raises InternalInconsistencyError.
-    ``shy`` and ``warded`` are the results of :func:`check_shy` and
-    :func:`check_warded` over the same classifications.
+    ``shy`` and ``warded`` are the violations :func:`check_shy` and
+    :func:`check_warded` found over the same classifications; each
+    checker's verdict is ``not violations``.
     """
     violations: list[Violation] = []
     for rule, rc in zip(program.rules, classifications):
@@ -387,8 +386,7 @@ def check_protected(
                         ),
                     )
                 )
-    warded_ok, warded_violations = warded
-    for wv in warded_violations:
+    for wv in warded:
         violations.append(
             Violation(
                 rule_id=wv.rule_id,
@@ -397,14 +395,12 @@ def check_protected(
                 explanation=f"not warded: {wv.explanation}",
             )
         )
-    verdict = not violations
-    shy_ok = shy[0]
-    if verdict != (shy_ok and warded_ok):
+    if (not violations) != (not shy and not warded):
         raise InternalInconsistencyError(
-            f"protected={verdict} but shy={shy_ok} and warded={warded_ok}; "
+            f"protected={not violations} but shy={not shy} and warded={not warded}; "
             "the fragment checks disagree"
         )
-    return (verdict, violations)
+    return violations
 
 
 def analyze(program: Program) -> AnalysisReport:
@@ -419,12 +415,9 @@ def analyze(program: Program) -> AnalysisReport:
     classifications = classify_variables(program, affected, invaded)
     shy = check_shy(program, classifications)
     warded = check_warded(program, classifications)
-    protected_ok, protected_violations = check_protected(
-        program, classifications, shy, warded
-    )
-    (shy_ok, shy_violations), (warded_ok, warded_violations) = shy, warded
+    protected = check_protected(program, classifications, shy, warded)
     violations = sorted(
-        shy_violations + warded_violations + protected_violations,
+        shy + warded + protected,
         key=lambda v: (v.rule_id, v.condition, v.variables),
     )
     return AnalysisReport(
@@ -432,9 +425,9 @@ def analyze(program: Program) -> AnalysisReport:
         invaded=invaded,
         rules=classifications,
         verdicts=FragmentVerdicts(
-            shy=shy_ok,
-            warded=warded_ok,
-            protected=protected_ok,
+            shy=not shy,
+            warded=not warded,
+            protected=not protected,
             violations=violations,
         ),
     )

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .analysis import analyze
-from .chase import ChaseVariant, run_chase
+from .chase import ChaseVariant, group_by_predicate, run_chase
 from .model import Atom, Program, Rule, Variable
 from .parser import print_program, print_query
 from .query import Query, evaluate_query
@@ -75,10 +75,6 @@ class Scenario:
     queries: tuple[Query, ...]
 
 
-def _v(name: str) -> Variable:
-    return Variable(name)
-
-
 def _require_protected(program: Program, name: str) -> None:
     report = analyze(program)
     if not report.verdicts.protected:
@@ -89,7 +85,7 @@ def _require_protected(program: Program, name: str) -> None:
 
 
 def _psc_rules() -> tuple[Rule, ...]:
-    p, c, x, y, z, n, d = (_v(s) for s in "PCXYZND")
+    p, c, x, y, z, n, d = map(Variable, "PCXYZND")
     return (
         Rule.make(0, [Atom("controls", [x, y])], [Atom("ctrl", [x, y])]),
         Rule.make(
@@ -136,13 +132,13 @@ def generate_psc(spec: ScenarioSpec) -> Scenario:
             facts.append(Atom("controls", [f"p{i}", f"c{j}"]))
     program = Program(rules=_psc_rules(), facts=tuple(facts))
     _require_protected(program, spec.name)
-    p, c = _v("P"), _v("C")
+    p, c = Variable("P"), Variable("C")
     queries = (Query(atoms=(Atom("psc", [p, c]),), output_vars=("P", "C")),)
     return Scenario(spec=spec, program=program, queries=queries)
 
 
 def _doctors_rules() -> tuple[Rule, ...]:
-    p, d, h, s = (_v(x) for x in "PDHS")
+    p, d, h, s = map(Variable, "PDHS")
     return (
         # each treatment happened at some unknown hospital
         Rule.make(0, [Atom("treated", [p, d])], [Atom("case_at", [p, d, h])]),
@@ -185,12 +181,9 @@ def generate_doctors_like(spec: ScenarioSpec) -> Scenario:
                     [f"p{i}", f"d{rng.randrange(spec.doctors)}"],
                 )
             )
-    seen: dict[Atom, None] = {}
-    for f in facts:
-        seen.setdefault(f)
-    program = Program(rules=_doctors_rules(), facts=tuple(seen))
+    program = Program(rules=_doctors_rules(), facts=tuple(dict.fromkeys(facts)))
     _require_protected(program, spec.name)
-    p, d, h, s = (_v(x) for x in "PDHS")
+    p, d, h, s = map(Variable, "PDHS")
     queries = (
         Query(atoms=(Atom("works_at", [d, h]),)),
         Query(atoms=(Atom("admitted", [p, h]),)),
@@ -292,9 +285,7 @@ def write_scenario(scenario: Scenario, out_dir: str | Path) -> dict[str, Path]:
     program_path.write_text(print_program(rules_only), encoding="utf-8")
     written["program"] = program_path
 
-    by_pred: dict[str, list[Atom]] = {}
-    for fact in scenario.program.facts:
-        by_pred.setdefault(fact.predicate, []).append(fact)
+    by_pred = group_by_predicate(scenario.program.facts)
     for pred in sorted(by_pred):
         fact_path = out / f"{pred}.csv"
         with open(fact_path, "w", newline="", encoding="utf-8") as fh:

@@ -5,25 +5,30 @@ nulls.  Nulls carry the resumption epoch they were created in; an
 :class:`Instance` tracks the current epoch, and nulls from earlier epochs
 are "frozen": they behave like constants in homomorphism checks while
 still printing as nulls.
+
+Variables, nulls, atoms, positions and existential-variable ids are named
+tuples: they compare and hash as the tuple of their fields, in C, so
+``Null(1, 0) == (1, 0)``.  Tuple order is not term order (nulls would
+order by counter before epoch, and mixed kinds do not compare), so terms
+sort only by :func:`term_sort_key`.
 """
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 
-@dataclass(frozen=True, slots=True)
-class Variable:
+class Variable(NamedTuple):
     name: str
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
-class Null:
+class Null(NamedTuple):
     counter: int
     epoch: int = 0
 
@@ -43,12 +48,12 @@ def term_sort_key(term: Term) -> tuple:
     return (2, term.name)
 
 
-_BARE_CONSTANT = re.compile(r"[a-z][A-Za-z0-9_]*$|[0-9][0-9]*$")
+_BARE_CONSTANT = re.compile(r"[a-z][A-Za-z0-9_]*|[0-9]+")
 
 
 def format_term(term: Term) -> str:
     if isinstance(term, str):
-        if _BARE_CONSTANT.match(term):
+        if _BARE_CONSTANT.fullmatch(term):
             return term
         # a raw newline would end the string; backslash-newline reads back as one
         escaped = term.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\\n")
@@ -58,20 +63,21 @@ def format_term(term: Term) -> str:
     return term.name
 
 
-class Atom:
-    """A predicate applied to a tuple of terms.  Immutable, hash-cached.
+class Atom(namedtuple("Atom", "predicate terms")):
+    """A predicate applied to a tuple of terms.
 
-    A ground atom over constants and nulls doubles as a fact.
+    A named tuple, so it compares and hashes as ``(predicate, terms)``;
+    terms sort only by :func:`term_sort_key`.  A ground atom over
+    constants and nulls doubles as a fact.
     """
 
-    __slots__ = ("predicate", "terms", "_hash")
+    __slots__ = ()
 
-    def __init__(self, predicate: str, terms: Iterable[Term]):
-        self.predicate = predicate
-        self.terms = tuple(terms)
-        if not self.terms:
+    def __new__(cls, predicate: str, terms: Iterable[Term]) -> "Atom":
+        terms = tuple(terms)
+        if not terms:
             raise ValueError(f"atom {predicate} needs at least one term")
-        self._hash = hash((predicate, self.terms))
+        return tuple.__new__(cls, (predicate, terms))
 
     @property
     def arity(self) -> int:
@@ -87,17 +93,6 @@ class Atom:
             if isinstance(t, Null):
                 yield t
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Atom)
-            and self._hash == other._hash
-            and self.predicate == other.predicate
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __repr__(self) -> str:
         return f"Atom({format_atom(self)})"
 
@@ -109,8 +104,7 @@ def format_atom(atom: Atom) -> str:
     return f"{atom.predicate}({', '.join(format_term(t) for t in atom.terms)})"
 
 
-@dataclass(frozen=True)
-class Position:
+class Position(NamedTuple):
     """A predicate attribute, 1-based: p[2] is the second argument of p."""
 
     predicate: str
@@ -120,8 +114,7 @@ class Position:
         return f"{self.predicate}[{self.index}]"
 
 
-@dataclass(frozen=True)
-class ExistentialVarId:
+class ExistentialVarId(NamedTuple):
     """Program-global identity of an existential variable: rule plus name."""
 
     rule_id: int

@@ -167,19 +167,31 @@ def test_query_output_variable_must_occur_in_query():
         parse_query("?- e(X, Y).\nX,\n")
 
 
+# plain identifier characters plus everything a quoted constant must survive
+_CONSTANT_CHARS = "abz09_AZ" + '"\\\n\r\t' + "% .,;:()?-'" + "éßλж"
+
+
+def _random_constant(rng: random.Random) -> str:
+    return "".join(rng.choice(_CONSTANT_CHARS) for _ in range(rng.randint(1, 5)))
+
+
+def _quoted(value: str) -> str:
+    return '"' + "".join("\\" + ch if ch in '"\\\n' else ch for ch in value) + '"'
+
+
 def test_print_round_trip_random_programs():
-    # seeded structural fuzz over the grammar's term/atom shapes
+    # seeded structural fuzz over the grammar's term/atom shapes, with
+    # constants drawn over the characters that need quoting or escaping
     rng = random.Random(7)
     names = ["p", "q", "r"]
-    consts = ["a", "b", "c42", "two words"]
-    for _ in range(50):
+    for _ in range(200):
         lines = []
+        drawn = []
         arity = {n: rng.randint(1, 3) for n in names}
         for pred in names:
-            row = ", ".join(
-                f'"{rng.choice(consts)}"' for _ in range(arity[pred])
-            )
-            lines.append(f"{pred}({row}).")
+            consts = [_random_constant(rng) for _ in range(arity[pred])]
+            drawn.append(Atom(pred, consts))
+            lines.append(f"{pred}({', '.join(map(_quoted, consts))}).")
         body_pred, head_pred = rng.sample(names, 2)
         body_vars = [f"V{i}" for i in range(arity[body_pred])]
         head_terms = [
@@ -190,6 +202,7 @@ def test_print_round_trip_random_programs():
         )
         text = "\n".join(lines) + "\n"
         program = parse_program(text)
+        assert program.facts == tuple(drawn)
         again = parse_program(print_program(program))
         assert again.rules == program.rules
         assert again.facts == program.facts

@@ -46,19 +46,20 @@ level's new facts, or for a query against the index row its constants
 select), the plan holds a fixed join order over the other body atoms;
 each step says, per position, whether it checks a constant, checks a
 slot bound earlier, binds a new slot, or repeats a slot bound earlier in
-the same atom, and its bound positions select the index row to scan.  A
-head template builds the instantiated head from the values, the nulls
-the trigger would mint and the head's constants; firing adds it.  The
-blocker compiles it as a pattern whose plan depends only on its shape.
+the same atom, and its bound positions select the index row to scan.
+The blockers search for a rule's head before it is built, with one plan
+per signature: which frontier values are unfrozen nulls, and which of
+them are equal.  Only a trigger that fires mints nulls and builds atoms.
 """
 from __future__ import annotations
 
 import gc
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, wraps
+from itertools import chain, count
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .analysis import compute_affected
 from .model import (
@@ -72,7 +73,6 @@ from .model import (
     Variable,
     format_term,
     freeze_nulls,
-    term_sort_key,
 )
 
 HOMOMORPHISM = "homomorphism"
@@ -219,7 +219,8 @@ class RulePlan:
     ``body`` matches the rule's body.  ``head`` gives, per head atom, an
     index into the environment ``values + fresh nulls + head constants``:
     a slot, an existential (in sorted-name order, as the chase mints
-    their nulls) or a constant.
+    their nulls) or a constant.  ``blockers`` caches the head's search
+    per signature of its ``frontier`` slots (see :meth:`_Head.bind`).
     """
 
     rule_id: int
@@ -227,10 +228,8 @@ class RulePlan:
     head: tuple[tuple[str, tuple[int, ...]], ...]
     fresh: int
     constants: tuple[Term, ...]
-
-    def instantiate(self, values: tuple[Term, ...], nulls: Sequence[Null]) -> list[Atom]:
-        env = (*values, *nulls, *self.constants)
-        return [Atom(predicate, [env[i] for i in terms]) for predicate, terms in self.head]
+    frontier: tuple[int, ...]
+    blockers: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _compile_step(predicate: str, codes: tuple, bound: set[int], pivot: bool) -> Step:
@@ -304,7 +303,8 @@ def compile_rule(rule: Rule) -> RulePlan:
                 terms.append(len(env) + len(constants))
                 constants.append(t)
         head.append((atom.predicate, tuple(terms)))
-    return RulePlan(rule.id, body, tuple(head), len(existentials), tuple(constants))
+    frontier = tuple(sorted({i for _, terms in head for i in terms if i < len(body.slots)}))
+    return RulePlan(rule.id, body, tuple(head), len(existentials), tuple(constants), frontier)
 
 
 def _rows(step: Step, values: list, instance: Instance) -> list[Atom]:
@@ -401,9 +401,11 @@ def compile_pattern(shape: tuple[tuple[str, tuple], ...]) -> Join:
     return _join(shape, {c for _, codes in shape for c in codes if c < 0})
 
 
-def _bind(pattern: Sequence[Atom], nulls_from: int) -> tuple[Join, list, list[Term]]:
-    """The plan for ``pattern``, its starting values and its mobile terms:
-    nulls of epoch ``nulls_from`` on, and variables."""
+def _bind(pattern: Sequence[Atom], nulls_from: int) -> tuple[Join, list, int, Iterable[Term]]:
+    """The plan for ``pattern``, its starting values, and the number and
+    order of its mobile terms: nulls of epoch ``nulls_from`` on, variables."""
+    if isinstance(pattern, _Head):
+        return pattern.bind(nulls_from)
     slot_of: dict[Term, int] = {}
     rigid: list[Term] = []
     shape = []
@@ -417,7 +419,65 @@ def _bind(pattern: Sequence[Atom], nulls_from: int) -> tuple[Join, list, list[Te
                 codes.append(-len(rigid))
         shape.append((atom.predicate, tuple(codes)))
     values = [None] * len(slot_of) + rigid[::-1]
-    return compile_pattern(tuple(shape)), values, list(slot_of)
+    return compile_pattern(tuple(shape)), values, len(slot_of), slot_of
+
+
+class _Head(Sequence):
+    """A trigger's head, built only when read, with its nulls numbered as
+    the chase would mint them: ``minted + 1`` on, in ``epoch``."""
+
+    __slots__ = ("plan", "values", "minted", "epoch")
+
+    def __init__(self, plan: RulePlan, values: tuple[Term, ...], minted: int, epoch: int) -> None:
+        self.plan, self.values, self.minted, self.epoch = plan, values, minted, epoch
+
+    def __len__(self) -> int:
+        return len(self.plan.head)
+
+    def __getitem__(self, i):
+        return list(self)[i]
+
+    def __iter__(self) -> Iterator[Atom]:
+        plan, minted = self.plan, self.minted
+        nulls = map(Null, range(minted + 1, minted + plan.fresh + 1), (self.epoch,) * plan.fresh)
+        env = (*self.values, *nulls, *plan.constants)
+        for predicate, terms in plan.head:
+            yield Atom(predicate, [env[i] for i in terms])
+
+    def _term(self, code: int) -> Term:
+        n = len(self.values)
+        return self.values[code] if code < n else Null(self.minted + code - n + 1, self.epoch)
+
+    def bind(self, nulls_from: int) -> tuple[Join, list, int, Iterable[Term]]:
+        """``_bind`` unbuilt.  The signature holds, per frontier slot, -1 if
+        its value is rigid, else the first slot with the same unfrozen null."""
+        plan, values = self.plan, self.values
+        signature = []
+        for i in plan.frontier:
+            v = values[i]
+            signature.append(values.index(v) if v.__class__ is Null and v.epoch >= nulls_from else -1)
+        signature = tuple(signature)
+        if signature not in plan.blockers:
+            plan.blockers[signature] = _head_search(plan, dict(zip(plan.frontier, signature)))
+        join, free, mobile, rest = plan.blockers[signature]
+        return join, [*free, *values, *rest], len(free), map(self._term, mobile)
+
+
+def _head_search(plan: RulePlan, first: dict[int, int]) -> tuple[Join, tuple, tuple, tuple]:
+    """The search for ``plan``'s head over ``[None] * n + values + rest``,
+    the environment with a None for each fresh null.  ``first`` maps each
+    frontier slot to -1 if its value is rigid, else to the first slot
+    holding its unfrozen null.  The n free slots are the existentials and
+    those nulls; every other term is a key read from the environment.
+    Returns the plan, the n Nones, each free slot's code and ``rest``."""
+    env, free = len(plan.body.slots) + plan.fresh, {}
+    tail = env + len(plan.constants)
+
+    def code(c: int) -> int:
+        return c - tail if c >= env or first.get(c, 0) < 0 else free.setdefault(first.get(c, c), len(free))
+
+    shape = tuple((predicate, tuple(map(code, codes))) for predicate, codes in plan.head)
+    return compile_pattern(shape), (None,) * len(free), tuple(free), (None,) * plan.fresh + plan.constants
 
 
 def exists_homomorphism(
@@ -429,7 +489,7 @@ def exists_homomorphism(
     Variables and the pattern's unfrozen nulls are free (they may land on
     constants or nulls); frozen nulls and constants are rigid.
     """
-    join, values, mobile = _bind(pattern, target.active_epoch)
+    join, values, _, mobile = _bind(pattern, target.active_epoch)
     for row in _search(join, values, target, limit=1):
         return dict(zip(mobile, row))
     return None
@@ -442,8 +502,7 @@ def exists_isomorphic_embedding(fact_set: Sequence[Atom], target: Instance) -> b
     injective null-to-null assignment, so its inverse is a homomorphism
     from the image back onto ``fact_set``.
     """
-    join, values, mobile = _bind(fact_set, target.active_epoch)
-    n = len(mobile)
+    join, values, n, _ = _bind(fact_set, target.active_epoch)
 
     def injective_on_nulls(values: list) -> Optional[tuple]:
         images = values[:n]
@@ -452,10 +511,6 @@ def exists_isomorphic_embedding(fact_set: Sequence[Atom], target: Instance) -> b
         return None
 
     return bool(_search(join, values, target, injective_on_nulls, limit=1))
-
-
-def _sort_key(values: tuple[Term, ...]) -> tuple:
-    return tuple(map(term_sort_key, values))
 
 
 def fire_trigger(head: Sequence[Atom], instance: Instance) -> list[Atom]:
@@ -514,6 +569,20 @@ def has_nontermination_risk(program: Program) -> bool:
 # The chase proper
 
 
+class TermRank(dict):
+    """Term -> int in :func:`term_sort_key` order: the given constants by
+    symbol, then nulls by epoch and counter (below 2**64).  A null's rank
+    is computed when asked, never stored; any other term is a KeyError."""
+
+    def __init__(self, constants: Iterable[str]) -> None:
+        super().__init__(zip(sorted(set(constants)), count()))
+
+    def __missing__(self, term: Term) -> int:
+        if isinstance(term, Null):
+            return len(self) + (term.epoch << 64) + term.counter
+        raise KeyError(f"{format_term(term)} is not a ranked constant")
+
+
 @dataclass
 class TraceRecord:
     rule: int
@@ -550,29 +619,22 @@ def group_by_predicate(facts: Iterable[Atom]) -> dict[str, list[Atom]]:
 
 
 def _level_triggers(
-    plans: Sequence[RulePlan], instance: Instance, delta: Sequence[Atom], limit: int = _ALL
+    plans: Sequence[RulePlan], instance: Instance, delta: Sequence[Atom], rank: TermRank, limit: int = _ALL
 ) -> list[Trigger]:
     """Triggers whose body maps into ``instance`` using >= 1 delta fact,
-    in the order of ``plans`` (by rule id), each rule's sorted by the term
-    order of their values.  Enumeration stops at the ``limit``-th."""
+    in the order of ``plans`` (by rule id), each rule's sorted by the
+    ``rank`` of their values.  Enumeration stops at the ``limit``-th."""
     delta_by_pred = group_by_predicate(delta)
+    ranks = rank.__getitem__
     out: list[Trigger] = []
     for plan in plans:
         found = plan.body.matches(instance, delta_by_pred, limit - len(out))
-        out.extend((plan.rule_id, vs) for vs in sorted(found, key=_sort_key))
+        if len(found) > 1:
+            found = sorted(found, key=lambda vs: tuple(map(ranks, vs)))
+        out.extend((plan.rule_id, vs) for vs in found)
         if len(out) >= limit:
             break
     return out
-
-
-# blocker -> does it block this instantiated head?  Each test looks its
-# search up in the module when called, so a wrapper put in its place
-# sees every call.
-_BLOCKS: dict[Optional[str], Callable[[list[Atom], Instance], bool]] = {
-    None: lambda head, instance: False,
-    HOMOMORPHISM: lambda head, instance: exists_homomorphism(head, instance) is not None,
-    ISOMORPHISM: lambda head, instance: exists_isomorphic_embedding(head, instance),
-}
 
 
 def _without_cycle_collection(func):
@@ -609,6 +671,9 @@ def run_chase(
 ) -> ChaseRun:
     """Execute one chase variant over the program's facts.
 
+    A trigger's head reaches the blocker searches and ``fire_trigger``
+    unbuilt, through this module's names, so a wrapper sees every call.
+
     ``max_steps`` bounds the number of *fired* steps across all epochs;
     a negative budget is a ValueError.  Without a blocker every trigger
     fires, so a level's enumeration stops one trigger past the steps
@@ -640,9 +705,9 @@ def run_chase(
             "oblivious chase on a recursive existential program may not "
             "terminate; rerun with a step budget (--max-steps)"
         )
-    blocks = _BLOCKS[blocker]
     plans = sorted(map(compile_rule, program.rules), key=lambda p: p.rule_id)
     plan_of = {plan.rule_id: plan for plan in plans}
+    rank = TermRank(chain(*(f.terms for f in program.facts), *(p.constants for p in plans)))
     instance = Instance.from_facts(program.facts)
     records: Optional[list[TraceRecord]] = [] if trace else None
     budget = _ALL if max_steps is None else max_steps
@@ -663,21 +728,20 @@ def run_chase(
             added: list[Atom] = []
             # without a blocker, one trigger past the budget left ends the run
             limit = _ALL if blocker else budget - fired_steps + 1
-            for rule_id, values in _level_triggers(plans, instance, delta, limit):
+            for rule_id, values in _level_triggers(plans, instance, delta, rank, limit):
                 plan = plan_of[rule_id]
-                fresh = [Null(minted + k + 1, instance.active_epoch) for k in range(plan.fresh)]
-                head = plan.instantiate(values, fresh)
-                block = blocker if blocks(head, instance) else None
-                if block is None and fired_steps >= budget:
+                head = _Head(plan, values, minted, instance.active_epoch)
+                if blocker == HOMOMORPHISM:
+                    hit = exists_homomorphism(head, instance) is not None
+                else:
+                    hit = blocker is not None and exists_isomorphic_embedding(head, instance)
+                if not hit and fired_steps >= budget:
                     status = STEP_LIMIT
                     break
                 if records is not None:
-                    records.append(
-                        TraceRecord(
-                            rule_id, dict(zip(plan.body.slots, values)), block is None, block, level
-                        )
-                    )
-                if block is not None:
+                    subst = dict(zip(plan.body.slots, values))
+                    records.append(TraceRecord(rule_id, subst, not hit, blocker if hit else None, level))
+                if hit:
                     blocked += 1
                     continue
                 added.extend(fire_trigger(head, instance))

@@ -7,10 +7,15 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlgx.chase import (
     ChaseVariant,
     NonTerminationRiskError,
+    TermRank,
+    _bind,
+    _Head,
     _level_triggers,
     compare_chase_containment,
     compile_rule,
@@ -163,6 +168,105 @@ class TestCompiledBlockers:
         head = [atom("q", n), atom("r", n)]
         constant_image = Instance.from_facts([atom("q", "c"), atom("r", "c")])
         assert self.blocks(head, constant_image) == (True, False)
+
+    # A trigger's head goes to the blockers unbuilt; its search is compiled
+    # per rule and signature, and must agree with the atoms it stands for.
+
+    def compiled(self, rule, subst, instance, mobile):
+        """The compiled blockers' verdicts on the one rule of ``rule`` for
+        the trigger ``subst``, checked against its built atoms and the
+        reference; the search has ``mobile`` free slots."""
+        plan = compile_rule(parse_program(rule).rules[0])
+        head = _Head(plan, tuple(subst[name] for name in plan.body.slots), 4, instance.active_epoch)
+        atoms = list(head)
+        # each rule here has one existential: its null is the next to mint
+        fresh = {n for a in atoms for n in a.nulls()} - set(subst.values())
+        assert fresh == {Null(5, instance.active_epoch)}
+        assert _bind(head, instance.active_epoch)[2] == mobile
+        assert exists_homomorphism(head, instance) == exists_homomorphism(atoms, instance)
+        assert exists_isomorphic_embedding(head, instance) == exists_isomorphic_embedding(atoms, instance)
+        return self.blocks(atoms, instance)
+
+    def test_compiled_frontier_with_no_null(self):
+        rule, subst = "q(X, Y, Z) :- p(X, Y).", {"X": "a", "Y": "b"}
+        for facts, verdicts in (
+            ([atom("q", "a", "b", Null(1, 0))], (True, True)),
+            ([atom("q", "a", "c", Null(1, 0))], (False, False)),
+            ([atom("q", "a", "b", "c")], (True, False)),
+        ):
+            assert self.compiled(rule, subst, Instance.from_facts(facts), 1) == verdicts
+
+    def test_compiled_one_unfrozen_null(self):
+        rule, subst = "q(X, Z) :- p(X, Y).", {"X": Null(1, 0), "Y": "b"}
+        for facts, verdicts in (
+            ([atom("q", "c", "d")], (True, False)),
+            ([atom("q", Null(2, 0), Null(3, 0))], (True, True)),
+            ([atom("q", Null(2, 0), Null(2, 0))], (True, False)),
+        ):
+            assert self.compiled(rule, subst, Instance.from_facts(facts), 2) == verdicts
+
+    def test_compiled_null_in_two_frontier_slots_is_one_free_slot(self):
+        rule, n = "q(X, Y, Z) :- p(X, Y).", Null(1, 0)
+        for facts, verdicts in (
+            ([atom("q", Null(2, 0), Null(2, 0), Null(3, 0))], (True, True)),
+            ([atom("q", Null(2, 0), Null(4, 0), Null(3, 0))], (False, False)),
+            ([atom("q", "c", "c", "d")], (True, False)),
+        ):
+            # n and the existential: two free slots, not three
+            assert self.compiled(rule, {"X": n, "Y": n}, Instance.from_facts(facts), 2) == verdicts
+        # two distinct nulls in those slots are two free slots
+        split = Instance.from_facts([atom("q", Null(2, 0), Null(4, 0), Null(3, 0))])
+        assert self.compiled(rule, {"X": n, "Y": Null(6, 0)}, split, 3) == (True, True)
+
+    def test_compiled_frozen_null(self):
+        rule, f = "q(X, Z) :- p(X).", Null(1, 0)
+        instance = Instance.from_facts([atom("q", f, Null(2, 0)), atom("q", Null(3, 0), "c")])
+        freeze_nulls(instance)
+        assert self.compiled(rule, {"X": f}, instance, 1) == (True, True)
+        assert self.compiled(rule, {"X": Null(3, 0)}, instance, 1) == (True, False)
+        assert self.compiled(rule, {"X": Null(2, 0)}, instance, 1) == (False, False)
+        # an unfrozen null of the new epoch is free again
+        assert self.compiled(rule, {"X": Null(9, 1)}, instance, 2) == (True, True)
+
+    def test_compiled_head_constant(self):
+        rule, subst = "q(X, c, Z) :- p(X).", {"X": "a"}
+        for facts, verdicts in (
+            ([atom("q", "a", "c", Null(1, 0))], (True, True)),
+            ([atom("q", "a", "d", Null(1, 0))], (False, False)),
+            ([atom("q", "b", "c", Null(1, 0))], (False, False)),
+        ):
+            assert self.compiled(rule, subst, Instance.from_facts(facts), 1) == verdicts
+
+    def test_compiled_existential_repeated_across_head_atoms(self):
+        rule, subst = "q(X, Z), s(Z, X) :- p(X).", {"X": "a"}
+        m1, m2 = Null(1, 0), Null(2, 0)
+        for facts, verdicts in (
+            ([atom("q", "a", m1), atom("s", m1, "a")], (True, True)),
+            ([atom("q", "a", m1), atom("s", m2, "a")], (False, False)),
+            ([atom("q", "a", "b"), atom("s", "b", "a")], (True, False)),
+        ):
+            assert self.compiled(rule, subst, Instance.from_facts(facts), 1) == verdicts
+
+
+def test_heads_are_built_only_for_triggers_that_fire(monkeypatch):
+    program = parse_program(
+        (Path(__file__).parent / "golden" / "psc_chain.dlgx").read_text(encoding="utf-8")
+    )
+    built = []
+    build = _Head.__iter__
+
+    def counting(head):
+        built.append(head.plan.fresh)
+        return build(head)
+
+    monkeypatch.setattr(_Head, "__iter__", counting)
+    for variant in (pchase_r(1), ichase(1)):
+        built.clear()
+        run = run_chase(program, variant, trace=True)
+        assert any(not r.fired for r in run.trace)
+        assert len(built) == run.fired_steps
+        # the nulls built with those heads are exactly the nulls minted
+        assert sum(built) == max(n.counter for f in run.result for n in f.nulls()) > 0
 
 
 def test_blockers_match_the_reference_on_generated_programs(monkeypatch):
@@ -406,10 +510,54 @@ def test_trigger_enumeration_is_sorted_and_complete():
         "e(a, b).\ne(b, c).\nt(X, Y) :- e(X, Y)."
     )
     instance = Instance.from_facts(program.facts)
-    triggers = _level_triggers(rule_plans(program), instance, list(instance))
+    triggers = _level_triggers(rule_plans(program), instance, list(instance), rank_of(program))
     assert len(triggers) == 2
     keys = [(rule_id, tuple(map(term_sort_key, values))) for rule_id, values in triggers]
     assert keys == sorted(keys)
+
+
+# ---------------------------------------------------------------------------
+# Trigger order
+
+_CONSTANTS = st.one_of(
+    st.text(alphabet='a zAZ09_"\\\n\t%,.()', min_size=1, max_size=4),  # some need quotes
+    st.integers(0, 10**6).map(str),  # digit constants sort as strings
+    st.text(alphabet="éßЖ中a", min_size=1, max_size=3),  # non-ASCII
+)
+_NULLS = st.builds(Null, st.integers(0, 2**64 - 1), st.integers(0, 3))
+_ROWS = st.lists(st.lists(st.one_of(_CONSTANTS, _NULLS), min_size=1, max_size=4).map(tuple))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_ROWS, st.lists(_CONSTANTS))
+def test_term_rank_orders_rows_as_term_sort_key(rows, extra):
+    constants = [t for row in rows for t in row if isinstance(t, str)]
+    rank = TermRank(constants + extra)
+    by_rank = sorted(rows, key=lambda row: tuple(map(rank.__getitem__, row)))
+    assert by_rank == sorted(rows, key=lambda row: tuple(map(term_sort_key, row)))
+    for a in rows:
+        for b in rows:
+            key_a, key_b = tuple(map(rank.__getitem__, a)), tuple(map(rank.__getitem__, b))
+            assert (key_a < key_b) == (tuple(map(term_sort_key, a)) < tuple(map(term_sort_key, b)))
+            assert (key_a == key_b) == (a == b)
+
+
+def test_term_rank_pins_nulls_past_two_to_the_32():
+    rank = TermRank(["b", "a", "b"])
+    assert [rank["a"], rank["b"]] == [0, 1]
+    ordered = [Null(7, 0), Null(2**32, 0), Null(2**63, 0), Null(0, 1), Null(1, 1), Null(5, 2)]
+    assert sorted(reversed(ordered), key=rank.__getitem__) == ordered
+    assert sorted(reversed(ordered), key=term_sort_key) == ordered
+    assert len(rank) == 2  # a null's rank is not stored
+
+
+def test_term_rank_raises_on_an_unknown_constant():
+    rank = TermRank(["a", "c"])
+    with pytest.raises(KeyError, match="b"):
+        rank["b"]
+    with pytest.raises(KeyError):
+        rank[Variable("X")]
+    assert "b" not in rank
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +568,20 @@ def rule_plans(program):
     return sorted(map(compile_rule, program.rules), key=lambda plan: plan.rule_id)
 
 
+def rank_of(program):
+    return TermRank(
+        [t for f in program.facts for t in f.terms]
+        + [t for rule in program.rules for a in rule.head for t in a.terms if isinstance(t, str)]
+    )
+
+
 def checked_run(monkeypatch, program, variant, levels, **kwargs):
     """Run the chase with every level's triggers compared with the naive
     reference matcher; appends each level's trigger count to ``levels``."""
     import dlgx.chase as chase
 
-    def checked(plans, instance, delta, limit):
-        triggers = _level_triggers(plans, instance, delta, limit)
+    def checked(plans, instance, delta, rank, limit):
+        triggers = _level_triggers(plans, instance, delta, rank, limit)
         assert triggers == reference.triggers(program.rules, instance, delta)
         levels.append(len(triggers))
         return triggers
@@ -563,12 +718,10 @@ def test_null_free_triggers_stay_blocked_after_a_freeze():
                 continue
             inst = run.result
             freeze_nulls(inst)
-            for rule_id, values in _level_triggers(plans, inst, list(inst)):
+            for rule_id, values in _level_triggers(plans, inst, list(inst), rank_of(program)):
                 if any(isinstance(t, Null) for t in values):
                     continue
-                plan = plan_of[rule_id]
-                fresh = [Null(10**9 + k, inst.active_epoch) for k in range(plan.fresh)]
-                head = plan.instantiate(values, fresh)
+                head = list(_Head(plan_of[rule_id], values, 10**9 - 1, inst.active_epoch))
                 assert blocked(variant.blocker, head, inst), (seed, str(variant), rule_id)
                 checked += 1
     assert checked > 1000

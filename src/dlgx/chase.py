@@ -13,13 +13,15 @@ when a trigger may fire:
                 head exists (nulls map bijectively to nulls).
 
 A resumption freezes every null once the chase reaches a fixpoint and
-runs it again, seeded only from the facts that hold a null.  At the
-fixpoint, a trigger whose values hold no null either fired, so its head
-is present, or was blocked by a witness; freezing keeps both true, so
-either blocker blocks it again.  A trigger whose values hold a null uses
-a fact that holds one, so the smaller seed still finds every trigger
-whose outcome can change.  The four names users know are combinations of
-the two:
+runs it again, starting from the triggers the last epoch blocked whose
+values hold a null.  At the fixpoint every trigger has been decided.  One
+that fired, in this epoch or an earlier one, finds its own output and is
+blocked again.  One whose values hold no null was blocked by a witness
+that freezing keeps.  Only a trigger blocked on a null can now fire,
+since that null is rigid once frozen; past a resumption's first level,
+triggers come from the facts the level before added, as in any epoch.
+So a trigger that fired in an earlier epoch gets no trace record at a
+resumption.  The four names users know are combinations of the two:
 
   name       blocker       resumptions
   oblivious  none          0
@@ -583,6 +585,30 @@ class TermRank(dict):
         raise KeyError(f"{format_term(term)} is not a ranked constant")
 
 
+@dataclass(frozen=True)
+class CompiledProgram:
+    """The state every chase of one program starts from, which depends on
+    the program alone: its rule plans by rule id, the rank table of its
+    constants, and the instance of its facts, which each run forks.  Kept
+    on the program as :attr:`Program.compiled`, so a fresh program object
+    builds its own and drops it with the program."""
+
+    plans: tuple[RulePlan, ...]
+    plan_of: dict[int, RulePlan]
+    rank: TermRank
+    base: Instance
+
+    @classmethod
+    def of(cls, program: Program) -> "CompiledProgram":
+        plans = tuple(sorted(map(compile_rule, program.rules), key=lambda p: p.rule_id))
+        return cls(
+            plans,
+            {plan.rule_id: plan for plan in plans},
+            TermRank(chain(*(f.terms for f in program.facts), *(p.constants for p in plans))),
+            Instance.from_facts(program.facts),
+        )
+
+
 @dataclass
 class TraceRecord:
     rule: int
@@ -619,16 +645,25 @@ def group_by_predicate(facts: Iterable[Atom]) -> dict[str, list[Atom]]:
 
 
 def _level_triggers(
-    plans: Sequence[RulePlan], instance: Instance, delta: Sequence[Atom], rank: TermRank, limit: int = _ALL
+    plans: Sequence[RulePlan],
+    instance: Instance,
+    delta: Sequence[Atom],
+    rank: TermRank,
+    limit: int = _ALL,
+    retry: Optional[dict[int, list[tuple[Term, ...]]]] = None,
 ) -> list[Trigger]:
     """Triggers whose body maps into ``instance`` using >= 1 delta fact,
-    in the order of ``plans`` (by rule id), each rule's sorted by the
-    ``rank`` of their values.  Enumeration stops at the ``limit``-th."""
+    or given ``retry`` (values by rule id) those triggers instead, in the
+    order of ``plans`` (by rule id), each rule's sorted by the ``rank`` of
+    their values.  Enumeration stops at the ``limit``-th."""
     delta_by_pred = group_by_predicate(delta)
     ranks = rank.__getitem__
     out: list[Trigger] = []
     for plan in plans:
-        found = plan.body.matches(instance, delta_by_pred, limit - len(out))
+        if retry is None:
+            found = plan.body.matches(instance, delta_by_pred, limit - len(out))
+        else:
+            found = retry.get(plan.rule_id, ())
         if len(found) > 1:
             found = sorted(found, key=lambda vs: tuple(map(ranks, vs)))
         out.extend((plan.rule_id, vs) for vs in found)
@@ -681,13 +716,19 @@ def run_chase(
     budget.  Such a cut level fires the least of the triggers it found,
     not always the least of the whole level.
 
+    The program's rule plans, rank table and base instance are built on
+    its first run and kept on the program object (``Program.compiled``);
+    each run forks the base instance, sharing its rows until it writes
+    to their predicate.
+
     Only the first epoch can end the run by blocking nothing: a further
     epoch would block every trigger on that trigger's own output, so it
     could add nothing.  Once the first epoch has blocked a trigger, every
-    resumption runs: the first epoch's first level used input facts
-    only, so a null-free trigger came up, and each resumption re-blocks
-    it (see the module docstring) though it no longer enumerates it, so
-    the trace has no record of it.
+    resumption runs.  A resumption's first level re-decides only the
+    triggers the last epoch blocked whose values hold a null, in rule and
+    rank order (see the module docstring).  A trigger that fired in an
+    earlier epoch, or that holds no null, is blocked again without being
+    enumerated, so the trace has no record of it.
 
     ``on_level(instance, new_facts)`` is called once with the input facts
     before any trigger, and after every level that added facts with those
@@ -705,10 +746,9 @@ def run_chase(
             "oblivious chase on a recursive existential program may not "
             "terminate; rerun with a step budget (--max-steps)"
         )
-    plans = sorted(map(compile_rule, program.rules), key=lambda p: p.rule_id)
-    plan_of = {plan.rule_id: plan for plan in plans}
-    rank = TermRank(chain(*(f.terms for f in program.facts), *(p.constants for p in plans)))
-    instance = Instance.from_facts(program.facts)
+    compiled = program.compiled
+    plans, plan_of, rank = compiled.plans, compiled.plan_of, compiled.rank
+    instance = compiled.base.fork()
     records: Optional[list[TraceRecord]] = [] if trace else None
     budget = _ALL if max_steps is None else max_steps
     fired_steps = 0
@@ -719,16 +759,20 @@ def run_chase(
     if on_level is not None and on_level(instance, delta):
         status = QUERY_SATISFIED
     level = 0
+    # the triggers this epoch blocked whose values hold a null, by rule
+    # id; the next epoch's first level re-decides them as ``retry``
+    held: dict[int, list[tuple[Term, ...]]] = {}
+    retry = None
 
     for epoch in range(variant.resumptions + 1):
         if epoch > 0:
             freeze_nulls(instance)
-            delta = [f for f in instance if any(isinstance(t, Null) for t in f.terms)]
-        while delta and status == FIXPOINT:
+            retry, held = held, {}
+        while (delta or retry) and status == FIXPOINT:
             added: list[Atom] = []
             # without a blocker, one trigger past the budget left ends the run
             limit = _ALL if blocker else budget - fired_steps + 1
-            for rule_id, values in _level_triggers(plans, instance, delta, rank, limit):
+            for rule_id, values in _level_triggers(plans, instance, delta, rank, limit, retry):
                 plan = plan_of[rule_id]
                 head = _Head(plan, values, minted, instance.active_epoch)
                 if blocker == HOMOMORPHISM:
@@ -743,11 +787,13 @@ def run_chase(
                     records.append(TraceRecord(rule_id, subst, not hit, blocker if hit else None, level))
                 if hit:
                     blocked += 1
+                    if epoch < variant.resumptions and Null in map(type, values):
+                        held.setdefault(rule_id, []).append(values)
                     continue
                 added.extend(fire_trigger(head, instance))
                 minted += plan.fresh
                 fired_steps += 1
-            delta = added
+            delta, retry = added, None
             level += 1
             if status == FIXPOINT and delta and on_level is not None and on_level(instance, delta):
                 status = QUERY_SATISFIED

@@ -18,7 +18,10 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence, Union
+
+if TYPE_CHECKING:
+    from .chase import CompiledProgram
 
 
 class Variable(NamedTuple):
@@ -195,6 +198,16 @@ class Program:
                 )
         return schema
 
+    @cached_property
+    def compiled(self) -> "CompiledProgram":
+        """What every chase of this program starts from: sorted rule
+        plans, rank table and base instance.  Built on first use and kept
+        with this object, like :attr:`schema`, so callers must not change
+        it."""
+        from .chase import CompiledProgram  # chase imports this module
+
+        return CompiledProgram.of(self)
+
     def _all_atoms(self) -> Iterator[Atom]:
         for rule in self.rules:
             yield from rule.body
@@ -215,9 +228,15 @@ class Instance:
     deterministic.  ``active_epoch`` marks the current resumption epoch:
     nulls created in earlier epochs are frozen (rigid in homomorphism
     checks).
+
+    :meth:`fork` copies an instance without copying its rows: a chase
+    run's instance shares each predicate's rows with the program's base
+    instance until its first write to that predicate.  So the lists that
+    :meth:`facts_for` and ``index`` hand out may be shared, and callers
+    must not change them.
     """
 
-    __slots__ = ("_facts", "_by_predicate", "index", "active_epoch")
+    __slots__ = ("_facts", "_by_predicate", "index", "active_epoch", "_shared")
 
     def __init__(self) -> None:
         self._facts: dict[Atom, None] = {}
@@ -226,6 +245,9 @@ class Instance:
         # compiled joins read it directly, nothing outside writes it
         self.index: dict[tuple[str, int, Term], list[Atom]] = {}
         self.active_epoch: int = 0
+        # predicates whose rows another instance may hold too; the first
+        # add of one copies its rows (see fork)
+        self._shared: set[str] = set()
 
     @classmethod
     def from_facts(cls, facts: Iterable[Atom]) -> "Instance":
@@ -234,15 +256,42 @@ class Instance:
             inst.add(f)
         return inst
 
+    def fork(self) -> "Instance":
+        """A copy of this instance that shares its rows, copy on write.
+
+        Only the three tables are copied.  From now on, either instance
+        copies a predicate's rows the first time it adds a fact of that
+        predicate, so neither sees the other's later adds.
+        """
+        copy = Instance()
+        copy._facts = self._facts.copy()
+        copy._by_predicate = self._by_predicate.copy()
+        copy.index = self.index.copy()
+        copy.active_epoch = self.active_epoch
+        copy._shared = set(self._by_predicate)
+        self._shared = set(self._by_predicate)
+        return copy
+
     def add(self, fact: Atom) -> bool:
         """Insert a fact; returns False if it was already present."""
         if fact in self._facts:
             return False
         self._facts[fact] = None
-        self._by_predicate.setdefault(fact.predicate, []).append(fact)
+        predicate = fact.predicate
+        if predicate in self._shared:
+            self._unshare(predicate)
+        self._by_predicate.setdefault(predicate, []).append(fact)
         for i, t in enumerate(fact.terms):
-            self.index.setdefault((fact.predicate, i, t), []).append(fact)
+            self.index.setdefault((predicate, i, t), []).append(fact)
         return True
+
+    def _unshare(self, predicate: str) -> None:
+        """Give this instance its own copy of ``predicate``'s rows."""
+        self._shared.discard(predicate)
+        facts = self._by_predicate[predicate] = self._by_predicate[predicate].copy()
+        index = self.index
+        for key in {(predicate, i, t) for f in facts for i, t in enumerate(f.terms)}:
+            index[key] = index[key].copy()
 
     def __contains__(self, fact: Atom) -> bool:
         return fact in self._facts
@@ -254,6 +303,9 @@ class Instance:
         return iter(self._facts)
 
     def facts_for(self, predicate: str) -> list[Atom]:
+        """The facts of ``predicate`` in insertion order.  The list may be
+        shared with a forked instance until the first write to the
+        predicate, so callers must not change it."""
         return self._by_predicate.get(predicate, [])
 
 

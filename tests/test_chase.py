@@ -44,6 +44,9 @@ from dlgx.parser import parse_program
 import reference_matcher as reference
 
 
+PSC_CHAIN = Path(__file__).parent / "golden" / "psc_chain.dlgx"
+
+
 def atom(pred: str, *terms) -> Atom:
     return Atom(pred, terms)
 
@@ -300,20 +303,22 @@ def test_blockers_match_the_reference_on_generated_programs(monkeypatch):
 def test_run_chase_calls_every_traced_boundary_through_the_module(monkeypatch):
     # the benchmark's tracer replaces these module attributes with wrappers,
     # which a run that bound them once at import would skip, and labels
-    # their spans with ChaseVariant.kind
+    # their spans with ChaseVariant.kind; it counts the triggers that
+    # _level_triggers returns and the loads of Instance.from_facts
     import dlgx.chase as chase
 
-    program = parse_program(
-        (Path(__file__).parent / "golden" / "psc_chain.dlgx").read_text(encoding="utf-8")
-    )
-    variants = (pchase_r(1), ichase(1))
-    expected = [list(run_chase(program, v).result) for v in variants]
+    text = PSC_CHAIN.read_text(encoding="utf-8")
+    variants = (pchase_r(1), ichase(1), pchase_r(2))
+    expected = [list(run_chase(parse_program(text), v).result) for v in variants]
     calls = Counter()
 
     def counting(name, function):
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return function(*args, **kwargs)
+            result = function(*args, **kwargs)
+            if name == "_level_triggers":
+                calls["triggers"] += len(result)
+            return result
 
         return wrapper
 
@@ -326,9 +331,100 @@ def test_run_chase_calls_every_traced_boundary_through_the_module(monkeypatch):
     )
     for name in names:
         monkeypatch.setattr(chase, name, counting(name, getattr(chase, name)))
-    assert [list(run_chase(program, v).result) for v in variants] == expected
+    monkeypatch.setattr(Instance, "from_facts", staticmethod(counting("load", Instance.from_facts)))
+    program = parse_program(text)
+    for variant, facts in zip(variants, expected):
+        before = calls["triggers"]
+        run = run_chase(program, variant, trace=True)
+        assert list(run.result) == facts
+        assert calls["triggers"] - before == len(run.trace), variant
     assert all(calls[name] > 0 for name in names), calls
-    assert [v.kind for v in variants] == ["pchase-r", "ichase"]
+    assert [v.kind for v in variants] == ["pchase-r", "ichase", "pchase-r"]
+    # the base instance is built once per program object, not once per run
+    assert calls["load"] == 1
+    run_chase(parse_program(text), pchase_r(1))
+    assert calls["load"] == 2
+
+
+REUSE_VARIANTS = (pchase_r(1), ichase(), pchase_r(2), oblivious())
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        PSC_CHAIN.read_text(encoding="utf-8"),
+        # a head predicate that also has base facts
+        "e(a, b).\ne(b, c).\ne(c, d).\ne(X, Z) :- e(X, Y), e(Y, Z).",
+    ],
+    ids=["psc_chain", "shared-head-predicate"],
+)
+def test_runs_of_one_program_are_runs_of_a_fresh_parse(text):
+    def outcome(program, variant):
+        run = run_chase(program, variant, max_steps=None if variant.blocker else 40, trace=True)
+        trace = [r.to_json_dict() for r in run.trace]
+        return run, (list(run.result), run.status, run.fired_steps, run.resumptions_used, trace)
+
+    program = parse_program(text)
+    first = program.facts[0]
+    runs = []
+    for variant in REUSE_VARIANTS:
+        run, seen = outcome(program, variant)
+        assert seen == outcome(parse_program(text), variant)[1], variant
+        # a user's write to one result reaches neither the base nor the
+        # next run: the fact joins the base facts of its predicate
+        extra = Atom(first.predicate, (*first.terms[1:], "zz"))
+        assert run.result.add(extra)
+        assert extra in run.result.facts_for(extra.predicate)
+        runs.append((run, seen[0] + [extra]))
+    assert extra not in program.compiled.base
+    assert list(program.compiled.base) == list(dict.fromkeys(program.facts))
+    # and no later run wrote into an earlier run's result
+    for run, facts in runs:
+        assert list(run.result) == facts
+        for predicate in {f.predicate for f in facts}:
+            assert run.result.facts_for(predicate) == [f for f in facts if f.predicate == predicate]
+
+
+def test_a_resumption_re_decides_exactly_the_triggers_blocked_on_a_null(monkeypatch):
+    # every other trigger either fired in an earlier epoch, so its own
+    # output blocks it again, or holds no null and keeps its witness
+    import dlgx.chase as chase
+
+    levels, starts = [], []  # a None per level run; per resumption, the levels before it
+
+    def freezing(instance):
+        starts.append(len(levels))
+        freeze_nulls(instance)
+
+    def listing(*args, **kwargs):
+        levels.append(None)
+        return _level_triggers(*args, **kwargs)
+
+    def key(record):
+        values = tuple(record.subst[name] for name in sorted(record.subst))
+        return record.rule, values
+
+    monkeypatch.setattr(chase, "freeze_nulls", freezing)
+    monkeypatch.setattr(chase, "_level_triggers", listing)
+    retried = 0
+    for seed in range(200):
+        program = generate_random_program(seed)
+        for variant in (pchase_r(3), ichase(3)):
+            levels.clear()
+            starts.clear()
+            run = run_chase(program, variant, max_steps=3000, trace=True)
+            assert run.status == "fixpoint"
+            bounds = [0, *starts, len(levels)]
+            epochs = [[r for r in run.trace if lo <= r.level < hi] for lo, hi in zip(bounds, bounds[1:])]
+            for before, epoch, start in zip(epochs, epochs[1:], starts):
+                blocked = [key(r) for r in before if not r.fired]
+                expected = sorted(
+                    (t for t in blocked if any(isinstance(v, Null) for v in t[1])),
+                    key=lambda t: (t[0], tuple(map(term_sort_key, t[1]))),
+                )
+                assert [key(r) for r in epoch if r.level == start] == expected, (seed, variant)
+                retried += len(expected)
+    assert retried > 100, retried
 
 
 # ---------------------------------------------------------------------------
@@ -580,9 +676,19 @@ def checked_run(monkeypatch, program, variant, levels, **kwargs):
     reference matcher; appends each level's trigger count to ``levels``."""
     import dlgx.chase as chase
 
-    def checked(plans, instance, delta, rank, limit):
-        triggers = _level_triggers(plans, instance, delta, rank, limit)
-        assert triggers == reference.triggers(program.rules, instance, delta)
+    def checked(plans, instance, delta, rank, limit, retry=None):
+        triggers = _level_triggers(plans, instance, delta, rank, limit, retry)
+        if retry is None:
+            expected = reference.triggers(program.rules, instance, delta)
+        else:  # a resumption's first level: the body matches on a null it re-decides
+            held = [f for f in instance if any(isinstance(t, Null) for t in f.terms)]
+            expected = [
+                (rule_id, values)
+                for rule_id, values in reference.triggers(program.rules, instance, held)
+                if values in retry.get(rule_id, ())
+            ]
+            assert len(expected) == sum(map(len, retry.values()))
+        assert triggers == expected
         levels.append(len(triggers))
         return triggers
 

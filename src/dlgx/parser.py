@@ -12,6 +12,16 @@ Grammar, one statement per '.':
 Identifiers starting with an uppercase letter are variables; everything
 else (starting lowercase, numeric, or double-quoted) is a constant.  Head
 variables that do not occur in the body are existential.
+
+A program is read one statement at a time.  A ground fact over bare
+names, each starting with an ASCII lowercase letter, a digit or '_', is
+read by one regex match anchored where the statement starts, blanks and
+comments before it included: that is most of a large program's text.
+Every other statement (a rule, a query, a fact with a quoted string or
+with a name that starts otherwise, a fact whose arity clashes, anything
+malformed) goes to the token reader, which tokenizes from that
+statement's offset to its '.'.  Every diagnostic comes from the token
+reader, so a program gets the same ones however its facts were read.
 """
 from __future__ import annotations
 
@@ -79,13 +89,26 @@ _TOKEN = re.compile(
 )
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
+# One ground fact over bare names, after the blanks and comments before
+# it.  A name's first character is one the token reader also takes for a
+# constant or a predicate name.  The quantifiers are possessive: a failed
+# match gives nothing back, so it never reads a comment's text as a fact.
+_BLANK = r"[ \t\r\n]*+"
+_NAME = r"[a-z0-9_]\w*+"
+_FACT = re.compile(
+    rf"(?:[ \t\r\n]++|%[^\n]*+)*+({_NAME}){_BLANK}\({_BLANK}"
+    rf"({_NAME}(?:{_BLANK},{_BLANK}{_NAME})*+){_BLANK}\){_BLANK}\."
+)
+_WORD = re.compile(r"\w+")
+
 # (kind, text, offset); a STRING's text is its value with escapes undone
 _Token = tuple[str, str, int]
 
 
 class _Parser:
-    """Tokens of one text plus the parse state; a diagnostic turns a
-    token's offset into a line and column only when it is made."""
+    """The tokens of one statement, or of a whole query text, plus the
+    parse state; a diagnostic turns a token's offset into a line and
+    column only when it is made."""
 
     def __init__(self, text: str, filename: str):
         self.text = text
@@ -93,28 +116,40 @@ class _Parser:
         self.line_starts: Optional[list[int]] = None
         self.errors: list[ParseDiagnostic] = []
         self.arities: dict[str, tuple[int, int]] = {}
-        self.tokens = self.tokenize()
+        self.tokens: list[_Token] = []
         self.pos = 0
+        self.end = 0  # the text before this offset has been read
 
-    def tokenize(self) -> list[_Token]:
+    def read(self, offset: int, statement: bool = False) -> None:
+        """Tokenize the text from ``offset`` to its end or, for a
+        ``statement``, to its first '.'.  A character that no token
+        reads is reported alone, as if the whole text had been read
+        before any other diagnostic was made."""
         tokens: list[_Token] = []
         append = tokens.append
-        for m in _TOKEN.finditer(self.text):
+        for m in _TOKEN.finditer(self.text, offset):
             kind = m.lastgroup
             if kind == "SKIP":
                 continue
-            word, offset = m.group(), m.start()
+            word, start = m.group(), m.start()
             first = word[0]
             # \w also matches numerics such as '½', which may not start a name
             if kind == "ERROR" or kind == "IDENT" and not (first.isalpha() or first.isdigit() or first == "_"):
-                self.fail("unterminated string" if first == '"' else f"unexpected character {first!r}", offset)
+                message = "unterminated string" if first == '"' else f"unexpected character {first!r}"
+                raise ParseError([self.error(message, start)])
             if kind == "STRING":
                 word = word[1:-1]
                 if "\\" in word:
                     word = _ESCAPE.sub(r"\1", word)
-            append((kind, word, offset))
-        append(("EOF", "", len(self.text)))
-        return tokens
+            append((kind, word, start))
+            if statement and kind == "PERIOD":
+                self.end = m.end()
+                break
+        else:
+            append(("EOF", "", len(self.text)))
+            self.end = len(self.text)
+        self.tokens = tokens
+        self.pos = 0
 
     def span(self, offset: int) -> SourceSpan:
         if self.line_starts is None:
@@ -126,7 +161,12 @@ class _Parser:
         return ParseDiagnostic(severity, message, self.span(offset))
 
     def fail(self, message: str, offset: int) -> NoReturn:
-        raise ParseError(self.errors + [self.error(message, offset)])
+        self.errors.append(self.error(message, offset))
+        self.raise_errors()
+
+    def raise_errors(self) -> NoReturn:
+        self.read(self.end)  # the rest of the text may hold a character no token reads
+        raise ParseError(self.errors)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -190,9 +230,28 @@ class _Parser:
 def parse_program(text: str, filename: str = "<input>") -> Program:
     """Parse a .dlgx program (facts and rules).  Raises ParseError."""
     parser = _Parser(text, filename)
+    arities = parser.arities
     facts: list[Atom] = []
     rules: list[Rule] = []
-    while (first := parser.peek())[0] != "EOF":
+    scan, words, intern = _FACT.match, _WORD.findall, sys.intern
+    while True:
+        # the fact scan, one match per statement, until a statement it cannot read
+        pos = parser.end
+        while (m := scan(text, pos)) is not None:
+            name, args = m.groups()
+            terms = tuple(map(intern, words(args)))
+            seen = arities.get(name)
+            if seen is None:
+                arities[name] = (len(terms), m.start(1))
+            elif seen[0] != len(terms):
+                break  # the token reader reports the clash
+            facts.append(Atom(name, terms))
+            pos = m.end()
+        # the token reader, for that one statement
+        parser.read(pos, statement=True)
+        first = parser.peek()
+        if first[0] == "EOF":
+            break
         if first[0] == "QUERY":
             parser.errors.append(parser.error("queries are not allowed in a program file", first[2]))
             break
@@ -217,7 +276,7 @@ def parse_program(text: str, filename: str = "<input>") -> Program:
         else:
             parser.fail(f"expected '.', ':-' or '->', found {found or 'end of input'!r}", offset)
     if parser.errors:
-        raise ParseError(parser.errors)
+        parser.raise_errors()
     # every atom was arity-checked and every fact ground-checked above
     return Program(rules=tuple(rules), facts=tuple(facts))
 
@@ -249,6 +308,7 @@ def parse_query(
     or dropped without that list; evaluation answers false silently.
     """
     parser = _Parser(text, filename)
+    parser.read(0)
     parser.expect("QUERY", "'?-'")
     atoms = parser.atom_list()
     parser.expect("PERIOD", "'.'")
@@ -304,10 +364,11 @@ def load_facts_csv(
     """Load one fact per CSV row; every cell becomes a constant.
 
     Rows must have a uniform column count (the predicate's arity); pass
-    ``header=True`` to skip the first row.
+    ``header=True`` to skip the first row.  A UTF-8 byte-order mark at
+    the start of the file is not part of the first cell.
     """
     facts: list[Atom] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for row_number, row in enumerate(reader, start=1):
             if header and row_number == 1:

@@ -200,3 +200,19 @@ def test_write_scenario_round_trips_through_the_parser(tmp_path):
             assert key == f"facts:{path.stem}"
             loaded.extend(load_facts_csv(path.stem, path))
     assert set(loaded) == set(scenario.program.facts)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ScenarioSpec(name="psc", persons=2000, companies=2000, seed=11),
+        ScenarioSpec(name="doctors-like", patients=2000, doctors=40, seed=11),
+    ],
+    ids=["psc", "doctors-like"],
+)
+def test_inline_program_text_round_trips_through_the_parser(spec):
+    # every fact written inline, as a benchmark's program file holds them
+    program = generate_scenario(spec).program
+    text = print_program(program)
+    assert len(program.facts) > 2000
+    assert parse_program(text) == program

@@ -357,6 +357,16 @@ class TestQuery:
             assert f"verdict: {verdict}" in capsys.readouterr().out
             assert rc == code
 
+    def test_byte_order_marks_are_skipped(self, tmp_path, capsys):
+        paths = []
+        for name, text in (("prog.dlgx", "r(X, Y) :- e(X, Y)."), ("q.query", "?- r(a, b)."), ("e.csv", "a,b\n")):
+            (tmp_path / name).write_text("\ufeff" + text, encoding="utf-8")
+            paths.append(str(tmp_path / name))
+        program, query, facts = paths
+        rc = main(["query", "--program", program, "--query", query, "--facts", f"e={facts}"])
+        assert "verdict: true" in capsys.readouterr().out
+        assert rc == 0
+
     def test_unknown_predicate_warns_false(self, tmp_path, two_path, capsys):
         query = write(tmp_path, "q.query", "?- ghost(X).")
         rc = main(["query", "--program", two_path, "--query", query])

@@ -14,7 +14,7 @@ from dlgx.model import (
     freeze_nulls,
     term_sort_key,
 )
-from dlgx.parser import load_facts_csv, parse_program
+from dlgx.parser import load_facts_csv, parse_program, parse_query
 
 
 def test_term_namespaces_are_disjoint():
@@ -25,9 +25,14 @@ def test_term_namespaces_are_disjoint():
 
 
 def test_constant_interning(tmp_path):
-    # a one-character symbol is shared by CPython anyway, so use longer ones
-    e, f = parse_program('e(alice).\nf("alice").').facts
-    assert e.terms[0] is f.terms[0]
+    # a one-character symbol is shared by CPython anyway, so use longer ones;
+    # e(alice) is read by the fact scan, the quoted fact and the rule by tokens
+    program = parse_program('e(alice).\nf("alice").\nr(X) :- e(X), f(alice).\ne(bob).')
+    e, f, _ = program.facts
+    alice = e.terms[0]
+    assert f.terms[0] is alice
+    assert program.rules[0].body[1].terms[0] is alice
+    assert parse_query("?- f(alice).").atoms[0].terms[0] is alice
     path = tmp_path / "rows.csv"
     path.write_text("New York,x\nNew York,y\n", encoding="utf-8")
     first, second = load_facts_csv("city", str(path))

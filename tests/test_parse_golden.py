@@ -72,6 +72,21 @@ HAND_WRITTEN = [
     "e(X, Y).",  # expected '?-'
     "?- e(X), e(X, Y).",  # arity clash inside a query
     "?- e(X, Y). % trailing\n% and more",
+    # where the fact scan hands a statement to the token reader and back
+    "e(a, b).\ne(b, c).\nb(X, Y) :- e(X, Y).\ne(c, d).\na(d).\n",  # facts, a rule, facts
+    "e(a, b).\nb(X, Y) :- e(X).\n",  # arity clash: scanned fact first
+    "b(X, Y) :- e(X).\ne(a, b).\n",  # arity clash: token-read atom first
+    'e("a").\ne(a, b).\n',  # arity clash: token-read fact first
+    "e(a, % note\nb).\ne(c, d).\n",  # a comment inside a fact
+    "e(a, b)\t.\ne(c, d)\r\n.\r\n",  # a tab and a CRLF before '.'
+    "e(a).5",  # expected '(' after a scanned fact
+    "e(a).\ne(b)",  # no '.' at the end of input
+    'e("a).b")',  # a ')' and a '.' inside a string
+    'e("a).b").\ne(c).',
+    "e(éa, 1b).\ne(_c, 2).\n",  # constants that start with é, a digit or '_'
+    "e(a, Éb).\n",  # facts must be ground: É starts a variable
+    "e(a, b).\ne(c, ½d).\n",  # unexpected character after a scanned fact
+    "éq(a).\n1p(b).\n_r(c).\nÉq(d).\n",  # predicate names
 ]
 
 
@@ -137,7 +152,7 @@ def test_printed_text_parses_back_to_the_same_value():
                 continue
             assert parse(printer(value)) == value, text
             parsed += 1
-    assert parsed == 207
+    assert parsed == 212
 
 
 if __name__ == "__main__":

@@ -218,6 +218,12 @@ def test_load_facts_csv(tmp_path):
     ]
 
 
+def test_load_facts_csv_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "owns.csv"
+    path.write_text("\ufeffalice,acme\n", encoding="utf-8")
+    assert load_facts_csv("owns", str(path)) == [Atom("owns", ["alice", "acme"])]
+
+
 def test_load_facts_csv_newline_cell_round_trips(tmp_path):
     path = tmp_path / "owns.csv"
     path.write_text('"line one\nline two",acme\n', encoding="utf-8")

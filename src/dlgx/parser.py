@@ -91,13 +91,16 @@ _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 # One ground fact over bare names, after the blanks and comments before
 # it.  A name's first character is one the token reader also takes for a
-# constant or a predicate name.  The quantifiers are possessive: a failed
-# match gives nothing back, so it never reads a comment's text as a fact.
-_BLANK = r"[ \t\r\n]*+"
-_NAME = r"[a-z0-9_]\w*+"
+# constant or a predicate name.  A comment must run to its line's end, so
+# a failed match never reads the comment's text as a fact; no part of the
+# pattern can split a run of blanks two ways, so a failed match backtracks
+# in linear time.  (Possessive quantifiers would say this more directly,
+# but Python reads them only from 3.11 on.)
+_BLANK = r"[ \t\r\n]*"
+_NAME = r"[a-z0-9_]\w*"
 _FACT = re.compile(
-    rf"(?:[ \t\r\n]++|%[^\n]*+)*+({_NAME}){_BLANK}\({_BLANK}"
-    rf"({_NAME}(?:{_BLANK},{_BLANK}{_NAME})*+){_BLANK}\){_BLANK}\."
+    rf"{_BLANK}(?:%[^\n]*(?![^\n]){_BLANK})*({_NAME}){_BLANK}\({_BLANK}"
+    rf"({_NAME}(?:{_BLANK},{_BLANK}{_NAME})*){_BLANK}\){_BLANK}\."
 )
 _WORD = re.compile(r"\w+")
 

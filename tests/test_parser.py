@@ -1,7 +1,9 @@
 import random
+import re
 
 import pytest
 
+from dlgx import parser as parser_module
 from dlgx.model import Atom, Variable
 from dlgx.parser import (
     ParseError,
@@ -39,6 +41,19 @@ def test_conjunctive_heads_and_bodies():
 def test_comments_and_whitespace():
     program = parse_program("% leading comment\n e1(c). % trailing\n\n")
     assert len(program.facts) == 1
+
+
+def test_a_comment_holding_fact_text_is_not_read():
+    for text in ("% e(a).", "% e(a).\n", "e(b). % e(a).", "% x\n  % e(a). f(c).\ne(b)."):
+        program = parse_program(text)
+        assert Atom("e", ["a"]) not in program.facts
+    assert parse_program("% x\n  % e(a). f(c).\ne(b).").facts == (Atom("e", ["b"]),)
+
+
+def test_fact_scan_pattern_needs_no_python_3_11_syntax():
+    # the package supports Python 3.10, whose re has no possessive
+    # quantifiers and no atomic groups
+    assert not re.search(r"[*+?}]\+|\(\?>", parser_module._FACT.pattern)
 
 
 def test_quoted_constants():

@@ -24,11 +24,13 @@ import random
 import statistics
 import time
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .analysis import analyze
-from .chase import ChaseVariant, group_by_predicate, run_chase
+from .chase import ChaseVariant, run_chase
 from .model import Atom, Program, Rule, Variable
 from .parser import print_program, print_query
 from .query import Query, evaluate_query
@@ -285,13 +287,12 @@ def write_scenario(scenario: Scenario, out_dir: str | Path) -> dict[str, Path]:
     program_path.write_text(print_program(rules_only), encoding="utf-8")
     written["program"] = program_path
 
-    by_pred = group_by_predicate(scenario.program.facts)
-    for pred in sorted(by_pred):
+    # the sort is stable, so each file keeps its facts in program order
+    predicate = attrgetter("predicate")
+    for pred, facts in groupby(sorted(scenario.program.facts, key=predicate), key=predicate):
         fact_path = out / f"{pred}.csv"
         with open(fact_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            for fact in by_pred[pred]:
-                writer.writerow(fact.terms)
+            csv.writer(fh).writerows(fact.terms for fact in facts)
         written[f"facts:{pred}"] = fact_path
     for i, query in enumerate(scenario.queries, start=1):
         query_path = out / f"q{i}.query"

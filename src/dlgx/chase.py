@@ -42,7 +42,7 @@ moment the trigger is evaluated.
 One compiled matcher serves rules, queries, blockers and containment.
 Each rule is compiled once into a :class:`RulePlan`, whose body is a
 :class:`BodyPlan` (a query compiles into one too).  Its body variables
-become slots in sorted-name order, so a trigger is just ``(rule id,
+become slots in sorted-name order, so a trigger is just ``(plan,
 values)``.  For each body atom taken as the pivot (matched against the
 level's new facts, or for a query against the index row its constants
 select), the plan holds a fixed join order over the other body atoms;
@@ -153,8 +153,7 @@ def parse_variant(name: str, resumptions: Optional[int] = None) -> ChaseVariant:
 #
 # An atom compiles from its predicate and one code per position: a slot,
 # or a term to match as it is.  Matching fills a list of values, one per
-# slot.  A trigger is (rule id, values): the images of the body variables.
-Trigger = tuple[int, tuple[Term, ...]]
+# slot.
 
 # One step of a join: (predicate, keys, binds, checks).
 #   keys    (position, slot, constant) for each position fixed before the
@@ -232,6 +231,10 @@ class RulePlan:
     constants: tuple[Term, ...]
     frontier: tuple[int, ...]
     blockers: dict = field(default_factory=dict, compare=False, repr=False)
+
+
+# A trigger is (rule plan, values): the images of the rule's body variables.
+Trigger = tuple[RulePlan, tuple[Term, ...]]
 
 
 def _compile_step(predicate: str, codes: tuple, bound: set[int], pivot: bool) -> Step:
@@ -403,7 +406,7 @@ def compile_pattern(shape: tuple[tuple[str, tuple], ...]) -> Join:
     return _join(shape, {c for _, codes in shape for c in codes if c < 0})
 
 
-def _bind(pattern: Sequence[Atom], nulls_from: int) -> tuple[Join, list, int, Iterable[Term]]:
+def _bind(pattern: Iterable[Atom], nulls_from: int) -> tuple[Join, list, int, Iterable[Term]]:
     """The plan for ``pattern``, its starting values, and the number and
     order of its mobile terms: nulls of epoch ``nulls_from`` on, variables."""
     if isinstance(pattern, _Head):
@@ -424,7 +427,7 @@ def _bind(pattern: Sequence[Atom], nulls_from: int) -> tuple[Join, list, int, It
     return compile_pattern(tuple(shape)), values, len(slot_of), slot_of
 
 
-class _Head(Sequence):
+class _Head:
     """A trigger's head, built only when read, with its nulls numbered as
     the chase would mint them: ``minted + 1`` on, in ``epoch``."""
 
@@ -432,12 +435,6 @@ class _Head(Sequence):
 
     def __init__(self, plan: RulePlan, values: tuple[Term, ...], minted: int, epoch: int) -> None:
         self.plan, self.values, self.minted, self.epoch = plan, values, minted, epoch
-
-    def __len__(self) -> int:
-        return len(self.plan.head)
-
-    def __getitem__(self, i):
-        return list(self)[i]
 
     def __iter__(self) -> Iterator[Atom]:
         plan, minted = self.plan, self.minted
@@ -483,7 +480,7 @@ def _head_search(plan: RulePlan, first: dict[int, int]) -> tuple[Join, tuple, tu
 
 
 def exists_homomorphism(
-    pattern: Sequence[Atom], target: Instance
+    pattern: Iterable[Atom], target: Instance
 ) -> Optional[dict[Term, Term]]:
     """A mapping sending every pattern atom onto a fact of ``target``, or
     None.
@@ -497,7 +494,7 @@ def exists_homomorphism(
     return None
 
 
-def exists_isomorphic_embedding(fact_set: Sequence[Atom], target: Instance) -> bool:
+def exists_isomorphic_embedding(fact_set: Iterable[Atom], target: Instance) -> bool:
     """Is some subset of ``target`` an isomorphic copy of ``fact_set``?
 
     The mapping is the identity on constants (and frozen nulls) and an
@@ -515,7 +512,7 @@ def exists_isomorphic_embedding(fact_set: Sequence[Atom], target: Instance) -> b
     return bool(_search(join, values, target, injective_on_nulls, limit=1))
 
 
-def fire_trigger(head: Sequence[Atom], instance: Instance) -> list[Atom]:
+def fire_trigger(head: Iterable[Atom], instance: Instance) -> list[Atom]:
     """Apply a trigger: add its instantiated head and return the facts
     that were new."""
     return [fact for fact in head if instance.add(fact)]
@@ -588,13 +585,12 @@ class TermRank(dict):
 @dataclass(frozen=True)
 class CompiledProgram:
     """The state every chase of one program starts from, which depends on
-    the program alone: its rule plans by rule id, the rank table of its
-    constants, and the instance of its facts, which each run forks.  Kept
-    on the program as :attr:`Program.compiled`, so a fresh program object
-    builds its own and drops it with the program."""
+    the program alone: its rule plans sorted by rule id, the rank table of
+    its constants, and the instance of its facts, which each run forks.
+    Kept on the program as :attr:`Program.compiled`, so a fresh program
+    object builds its own and drops it with the program."""
 
     plans: tuple[RulePlan, ...]
-    plan_of: dict[int, RulePlan]
     rank: TermRank
     base: Instance
 
@@ -603,7 +599,6 @@ class CompiledProgram:
         plans = tuple(sorted(map(compile_rule, program.rules), key=lambda p: p.rule_id))
         return cls(
             plans,
-            {plan.rule_id: plan for plan in plans},
             TermRank(chain(*(f.terms for f in program.facts), *(p.constants for p in plans))),
             Instance.from_facts(program.facts),
         )
@@ -637,36 +632,29 @@ class ChaseRun:
     trace: Optional[list[TraceRecord]] = None
 
 
-def group_by_predicate(facts: Iterable[Atom]) -> dict[str, list[Atom]]:
-    grouped: dict[str, list[Atom]] = {}
-    for f in facts:
-        grouped.setdefault(f.predicate, []).append(f)
-    return grouped
-
-
 def _level_triggers(
     plans: Sequence[RulePlan],
     instance: Instance,
-    delta: Sequence[Atom],
+    delta: dict[str, list[Atom]],
     rank: TermRank,
     limit: int = _ALL,
     retry: Optional[dict[int, list[tuple[Term, ...]]]] = None,
 ) -> list[Trigger]:
-    """Triggers whose body maps into ``instance`` using >= 1 delta fact,
-    or given ``retry`` (values by rule id) those triggers instead, in the
-    order of ``plans`` (by rule id), each rule's sorted by the ``rank`` of
-    their values.  Enumeration stops at the ``limit``-th."""
-    delta_by_pred = group_by_predicate(delta)
+    """Triggers whose body maps into ``instance`` using >= 1 ``delta``
+    fact (filed by predicate), or given ``retry`` (values by rule id)
+    those triggers instead, in the order of ``plans`` (by rule id), each
+    rule's sorted by the ``rank`` of their values.  Enumeration stops at
+    the ``limit``-th."""
     ranks = rank.__getitem__
     out: list[Trigger] = []
     for plan in plans:
         if retry is None:
-            found = plan.body.matches(instance, delta_by_pred, limit - len(out))
+            found = plan.body.matches(instance, delta, limit - len(out))
         else:
             found = retry.get(plan.rule_id, ())
         if len(found) > 1:
             found = sorted(found, key=lambda vs: tuple(map(ranks, vs)))
-        out.extend((plan.rule_id, vs) for vs in found)
+        out.extend((plan, vs) for vs in found)
         if len(out) >= limit:
             break
     return out
@@ -702,7 +690,7 @@ def run_chase(
     *,
     max_steps: Optional[int] = None,
     trace: bool = False,
-    on_level: Optional[Callable[[Instance, list[Atom]], bool]] = None,
+    on_level: Optional[Callable[[Instance, dict[str, list[Atom]]], bool]] = None,
 ) -> ChaseRun:
     """Execute one chase variant over the program's facts.
 
@@ -732,8 +720,11 @@ def run_chase(
 
     ``on_level(instance, new_facts)`` is called once with the input facts
     before any trigger, and after every level that added facts with those
-    facts.  Returning True ends the run with status ``query-satisfied``.
-    A level cut short by the step budget gets no call.
+    facts.  ``new_facts`` files them by predicate, each predicate's in
+    the order they were added; its lists may be the instance's own rows
+    and shared with the base instance, so callers must not change them.
+    Returning True ends the run with status ``query-satisfied``.  A level
+    cut short by the step budget gets no call.
 
     Past an epoch's first level, every trigger uses a fact that the level
     before added, so no trigger comes up twice in one epoch.
@@ -747,7 +738,7 @@ def run_chase(
             "terminate; rerun with a step budget (--max-steps)"
         )
     compiled = program.compiled
-    plans, plan_of, rank = compiled.plans, compiled.plan_of, compiled.rank
+    plans, rank = compiled.plans, compiled.rank
     instance = compiled.base.fork()
     records: Optional[list[TraceRecord]] = [] if trace else None
     budget = _ALL if max_steps is None else max_steps
@@ -755,7 +746,8 @@ def run_chase(
     minted = 0  # nulls minted so far; the next one is numbered minted + 1
     blocked = 0
     status = FIXPOINT
-    delta: Sequence[Atom] = list(instance)
+    # the facts the last level added, by predicate; first the input facts
+    delta = {p: rows for p in program.schema if (rows := instance.facts_for(p))}
     if on_level is not None and on_level(instance, delta):
         status = QUERY_SATISFIED
     level = 0
@@ -769,11 +761,10 @@ def run_chase(
             freeze_nulls(instance)
             retry, held = held, {}
         while (delta or retry) and status == FIXPOINT:
-            added: list[Atom] = []
+            added: dict[str, list[Atom]] = {}
             # without a blocker, one trigger past the budget left ends the run
             limit = _ALL if blocker else budget - fired_steps + 1
-            for rule_id, values in _level_triggers(plans, instance, delta, rank, limit, retry):
-                plan = plan_of[rule_id]
+            for plan, values in _level_triggers(plans, instance, delta, rank, limit, retry):
                 head = _Head(plan, values, minted, instance.active_epoch)
                 if blocker == HOMOMORPHISM:
                     hit = exists_homomorphism(head, instance) is not None
@@ -784,13 +775,14 @@ def run_chase(
                     break
                 if records is not None:
                     subst = dict(zip(plan.body.slots, values))
-                    records.append(TraceRecord(rule_id, subst, not hit, blocker if hit else None, level))
+                    records.append(TraceRecord(plan.rule_id, subst, not hit, blocker if hit else None, level))
                 if hit:
                     blocked += 1
                     if epoch < variant.resumptions and Null in map(type, values):
-                        held.setdefault(rule_id, []).append(values)
+                        held.setdefault(plan.rule_id, []).append(values)
                     continue
-                added.extend(fire_trigger(head, instance))
+                for fact in fire_trigger(head, instance):
+                    added.setdefault(fact.predicate, []).append(fact)
                 minted += plan.fresh
                 fired_steps += 1
             delta, retry = added, None

@@ -66,7 +66,7 @@ def _print_diagnostics(err: ParseError) -> None:
 
 
 def _load_program(args: argparse.Namespace) -> Program:
-    text = Path(args.program).read_text(encoding="utf-8-sig")
+    text = Path(args.program).read_text(encoding="utf-8")
     program = parse_program(text, args.program)
     extra = []
     for binding in args.facts or []:
@@ -86,7 +86,7 @@ def _load_program(args: argparse.Namespace) -> Program:
 
 def _load_query(args: argparse.Namespace, program: Program) -> tuple[Query, list[str]]:
     """The query and its parse warnings, as ``file:line:col: message``."""
-    text = Path(args.query).read_text(encoding="utf-8-sig")
+    text = Path(args.query).read_text(encoding="utf-8")
     diags = []
     query = parse_query(text, args.query, schema=program.schema, diagnostics=diags)
     return query, [f"{d.span}: {d.message}" for d in diags]

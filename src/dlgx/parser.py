@@ -231,7 +231,9 @@ class _Parser:
 
 
 def parse_program(text: str, filename: str = "<input>") -> Program:
-    """Parse a .dlgx program (facts and rules).  Raises ParseError."""
+    """Parse a .dlgx program (facts and rules).  Raises ParseError.  A
+    leading byte-order mark is skipped; columns are counted without it."""
+    text = text.removeprefix("\ufeff")
     parser = _Parser(text, filename)
     arities = parser.arities
     facts: list[Atom] = []
@@ -309,8 +311,9 @@ def parse_query(
     With a ``schema``, arity mismatches are errors, and an unknown
     predicate is a warning with its position, appended to ``diagnostics``
     or dropped without that list; evaluation answers false silently.
+    A leading byte-order mark is skipped, as in :func:`parse_program`.
     """
-    parser = _Parser(text, filename)
+    parser = _Parser(text.removeprefix("\ufeff"), filename)
     parser.read(0)
     parser.expect("QUERY", "'?-'")
     atoms = parser.atom_list()

@@ -16,7 +16,6 @@ from .chase import (
     ChaseRun,
     ChaseVariant,
     compile_body,
-    group_by_predicate,
     ichase,
     oblivious,
     pchase_r,
@@ -146,12 +145,12 @@ def answer_with_variant(
         plan = compile_body(query.atoms)
         predicates = {a.predicate for a in query.atoms}
 
-        def on_level(instance: Instance, new_facts: list[Atom]) -> bool:
+        def on_level(instance: Instance, new_facts: dict[str, list[Atom]]) -> bool:
             # no match while a query predicate has no fact; once the last
             # one gets facts, every match uses one of them
             if not all(instance.facts_for(p) for p in predicates):
                 return False
-            return bool(plan.matches(instance, group_by_predicate(new_facts), limit=1))
+            return bool(plan.matches(instance, new_facts, limit=1))
 
     run = run_chase(program, variant, max_steps=max_steps, trace=trace, on_level=on_level)
     if query.is_boolean and run.status == FIXPOINT:

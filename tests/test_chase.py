@@ -39,7 +39,8 @@ from dlgx.model import (
     freeze_nulls,
     term_sort_key,
 )
-from dlgx.parser import parse_program
+from dlgx.parser import parse_program, parse_query
+from dlgx.query import answer_with_variant
 
 import reference_matcher as reference
 
@@ -279,7 +280,7 @@ def test_blockers_match_the_reference_on_generated_programs(monkeypatch):
 
     def homomorphism(head, instance):
         found = exists_homomorphism(head, instance)
-        assert (found is not None) == reference.maps_homomorphically(head, instance)
+        assert (found is not None) == reference.maps_homomorphically(list(head), instance)
         if found is not None:
             assert all(fact in instance for fact in reference.image(head, found))
         verdicts["homomorphism", found is not None] += 1
@@ -287,7 +288,7 @@ def test_blockers_match_the_reference_on_generated_programs(monkeypatch):
 
     def isomorphism(head, instance):
         found = exists_isomorphic_embedding(head, instance)
-        assert found == reference.embeds_isomorphically(head, instance)
+        assert found == reference.embeds_isomorphically(list(head), instance)
         verdicts["isomorphism", found] += 1
         return found
 
@@ -344,6 +345,26 @@ def test_run_chase_calls_every_traced_boundary_through_the_module(monkeypatch):
     assert calls["load"] == 1
     run_chase(parse_program(text), pchase_r(1))
     assert calls["load"] == 2
+
+
+def test_runs_never_walk_the_whole_instance(monkeypatch):
+    # each level reads the facts the level before added, filed by
+    # predicate, and the first level reads the instance's own rows
+    program = parse_program(PSC_CHAIN.read_text(encoding="utf-8"))
+    query = parse_query("?- psc(P, C).")
+    walks = []
+    walk = Instance.__iter__
+
+    def counting(instance):
+        walks.append(None)
+        return walk(instance)
+
+    monkeypatch.setattr(Instance, "__iter__", counting)
+    runs = [run_chase(program, v, max_steps=100) for v in (pchase_r(1), ichase(1), oblivious())]
+    answer, run = answer_with_variant(program, query, ichase())
+    assert walks == []
+    assert all(r.fired_steps > 0 for r in runs)
+    assert answer.verdict and run.status == "query-satisfied"
 
 
 REUSE_VARIANTS = (pchase_r(1), ichase(), pchase_r(2), oblivious())
@@ -606,9 +627,9 @@ def test_trigger_enumeration_is_sorted_and_complete():
         "e(a, b).\ne(b, c).\nt(X, Y) :- e(X, Y)."
     )
     instance = Instance.from_facts(program.facts)
-    triggers = _level_triggers(rule_plans(program), instance, list(instance), rank_of(program))
+    triggers = _level_triggers(rule_plans(program), instance, by_predicate(instance), rank_of(program))
     assert len(triggers) == 2
-    keys = [(rule_id, tuple(map(term_sort_key, values))) for rule_id, values in triggers]
+    keys = [(plan.rule_id, tuple(map(term_sort_key, values))) for plan, values in triggers]
     assert keys == sorted(keys)
 
 
@@ -664,6 +685,18 @@ def rule_plans(program):
     return sorted(map(compile_rule, program.rules), key=lambda plan: plan.rule_id)
 
 
+def by_predicate(facts):
+    """A delta table, as the chase hands each level: facts by predicate."""
+    table = {}
+    for fact in facts:
+        table.setdefault(fact.predicate, []).append(fact)
+    return table
+
+
+def flat(table):
+    return [fact for facts in table.values() for fact in facts]
+
+
 def rank_of(program):
     return TermRank(
         [t for f in program.facts for t in f.terms]
@@ -678,8 +711,9 @@ def checked_run(monkeypatch, program, variant, levels, **kwargs):
 
     def checked(plans, instance, delta, rank, limit, retry=None):
         triggers = _level_triggers(plans, instance, delta, rank, limit, retry)
+        assert all(f.predicate == p for p, facts in delta.items() for f in facts)
         if retry is None:
-            expected = reference.triggers(program.rules, instance, delta)
+            expected = reference.triggers(program.rules, instance, flat(delta))
         else:  # a resumption's first level: the body matches on a null it re-decides
             held = [f for f in instance if any(isinstance(t, Null) for t in f.terms)]
             expected = [
@@ -688,7 +722,7 @@ def checked_run(monkeypatch, program, variant, levels, **kwargs):
                 if values in retry.get(rule_id, ())
             ]
             assert len(expected) == sum(map(len, retry.values()))
-        assert triggers == expected
+        assert [(plan.rule_id, values) for plan, values in triggers] == expected
         levels.append(len(triggers))
         return triggers
 
@@ -817,18 +851,17 @@ def test_null_free_triggers_stay_blocked_after_a_freeze():
     for seed in range(200):
         program = generate_random_program(seed)
         plans = rule_plans(program)
-        plan_of = {plan.rule_id: plan for plan in plans}
         for variant in (pchase(), ichase()):
             run = run_chase(program, variant, max_steps=3000)
             if run.status != "fixpoint":
                 continue
             inst = run.result
             freeze_nulls(inst)
-            for rule_id, values in _level_triggers(plans, inst, list(inst), rank_of(program)):
+            for plan, values in _level_triggers(plans, inst, by_predicate(inst), rank_of(program)):
                 if any(isinstance(t, Null) for t in values):
                     continue
-                head = list(_Head(plan_of[rule_id], values, 10**9 - 1, inst.active_epoch))
-                assert blocked(variant.blocker, head, inst), (seed, str(variant), rule_id)
+                head = list(_Head(plan, values, 10**9 - 1, inst.active_epoch))
+                assert blocked(variant.blocker, head, inst), (seed, str(variant), plan.rule_id)
                 checked += 1
     assert checked > 1000
 
@@ -838,7 +871,7 @@ def test_on_level_sees_the_input_facts_then_each_adding_level():
     calls = []
 
     def record(instance, new_facts):
-        calls.append([str(f) for f in new_facts])
+        calls.append([str(f) for f in flat(new_facts)])
         return False
 
     run = run_chase(program, pchase_r(5), on_level=record)
@@ -866,7 +899,7 @@ def test_on_level_can_stop_after_a_level():
     levels = []
 
     def stop(instance, new_facts):
-        levels.append(len(new_facts))
+        levels.append(len(flat(new_facts)))
         return len(levels) == 2
 
     run = run_chase(program, pchase_r(5), on_level=stop, trace=True)

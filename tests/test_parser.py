@@ -239,6 +239,27 @@ def test_load_facts_csv_skips_a_byte_order_mark(tmp_path):
     assert load_facts_csv("owns", str(path)) == [Atom("owns", ["alice", "acme"])]
 
 
+def first_error(parse, text):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    return exc.value.diagnostics[0]
+
+
+def test_parse_program_skips_one_byte_order_mark():
+    assert parse_program("\ufeffe(a).\nr(X) :- e(X).") == parse_program("e(a).\nr(X) :- e(X).")
+    # line-1 columns read as if the mark were absent
+    assert first_error(parse_program, "\ufeffe(a) x") == first_error(parse_program, "e(a) x")
+    assert first_error(parse_program, "\ufeffE(a).").span.column == 1
+    # only one mark is skipped
+    assert "'\\ufeff'" in first_error(parse_program, "\ufeff\ufeffe(a).").message
+
+
+def test_parse_query_skips_one_byte_order_mark():
+    assert parse_query("\ufeff?- e(X).\nX") == parse_query("?- e(X).\nX")
+    assert first_error(parse_query, "\ufeff?- e(X) x") == first_error(parse_query, "?- e(X) x")
+    assert "'\\ufeff'" in first_error(parse_query, "\ufeff\ufeff?- e(X).").message
+
+
 def test_load_facts_csv_newline_cell_round_trips(tmp_path):
     path = tmp_path / "owns.csv"
     path.write_text('"line one\nline two",acme\n', encoding="utf-8")

@@ -313,13 +313,13 @@ class TestEarlyStop:
         def checked_run_chase(program, variant, *, on_level, **kwargs):
             def level(instance, new_facts):
                 holds = on_level(instance, new_facts)
-                new = set(new_facts)
+                new = {fact for facts in new_facts.values() for fact in facts}
                 expected = any(
                     fact in new
                     for mapping in reference.homomorphisms(query.atoms, instance)
                     for fact in reference.image(query.atoms, mapping)
                 )
-                assert holds == expected, (seed, [str(f) for f in new_facts])
+                assert holds == expected, (seed, sorted(map(str, new)))
                 levels.append(holds)
                 return False  # keep chasing, so every later level is checked too
 

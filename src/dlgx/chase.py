@@ -204,7 +204,7 @@ class BodyPlan:
         all matches into ``instance``, stopping at the ``limit``-th.  The
         pivot is the atom whose constants select the fewest facts."""
         join: Join = ()
-        rows: list[Atom] = []
+        rows: Sequence[Atom] = []
         for steps in self.joins:
             pivot_rows = _rows(steps[0], [], instance)
             if not join or len(pivot_rows) < len(rows):
@@ -312,13 +312,18 @@ def compile_rule(rule: Rule) -> RulePlan:
     return RulePlan(rule.id, body, tuple(head), len(existentials), tuple(constants), frontier)
 
 
-def _rows(step: Step, values: list, instance: Instance) -> list[Atom]:
-    """Candidate facts for a join step, from the shortest index row its
-    keys select, or every fact of its predicate when no key fixes it."""
+def _rows(step: Step, values: list, instance: Instance) -> Sequence[Atom]:
+    """Candidate facts for a join step: the shortest row its keys select
+    in its predicate's columns, a tuple or a list, or every fact of its
+    predicate when no key fixes it.  The columns are looked up once, and
+    each key reads its column with the term alone."""
     predicate, keys = step[0], step[1]
-    rows: Optional[list[Atom]] = None
+    columns = instance.index.get(predicate)
+    if columns is None:
+        return []
+    rows: Optional[Sequence[Atom]] = None
     for pos, slot, const in keys:
-        row = instance.index.get((predicate, pos, const if slot is None else values[slot]))
+        row = columns[pos].get(const if slot is None else values[slot])
         if row is None:
             return []
         if rows is None or len(row) < len(rows):
@@ -371,7 +376,7 @@ def _search(
     instance: Instance,
     leaf: Callable[[list], Optional[tuple]] = tuple,
     limit: int = _ALL,
-    rows: Optional[list[Atom]] = None,
+    rows: Optional[Sequence[Atom]] = None,
 ) -> set[tuple[Term, ...]]:
     """Run ``join`` over the whole instance; its first step scans ``rows``
     if given, else the rows its keys select."""

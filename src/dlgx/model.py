@@ -229,11 +229,18 @@ class Instance:
     nulls created in earlier epochs are frozen (rigid in homomorphism
     checks).
 
+    ``index[predicate]`` holds one dict per position of the predicate,
+    mapping each term there to its row: the facts with that term at that
+    position, in insertion order.  A row of one fact is a 1-tuple, shared
+    by every position the fact adds a row at; the row becomes a list at
+    its second fact.  So a term that holds one fact's place costs one dict
+    entry and no list.
+
     :meth:`fork` copies an instance without copying its rows: a chase
     run's instance shares each predicate's rows with the program's base
     instance until its first write to that predicate.  So the lists that
-    :meth:`facts_for` and ``index`` hand out may be shared, and callers
-    must not change them.
+    :meth:`facts_for` hands out and the columns and rows of ``index`` may
+    be shared, and callers must not change them.
     """
 
     __slots__ = ("_facts", "_by_predicate", "index", "active_epoch", "_shared")
@@ -241,9 +248,9 @@ class Instance:
     def __init__(self) -> None:
         self._facts: dict[Atom, None] = {}
         self._by_predicate: dict[str, list[Atom]] = {}
-        # (predicate, 0-based position, term) -> facts, in insertion order;
-        # compiled joins read it directly, nothing outside writes it
-        self.index: dict[tuple[str, int, Term], list[Atom]] = {}
+        # predicate -> one dict per 0-based position, term -> row; only
+        # add and _unshare write it, and compiled joins read it (_rows)
+        self.index: dict[str, tuple[dict[Term, Union[tuple[Atom], list[Atom]]], ...]] = {}
         self.active_epoch: int = 0
         # predicates whose rows another instance may hold too; the first
         # add of one copies its rows (see fork)
@@ -259,9 +266,10 @@ class Instance:
     def fork(self) -> "Instance":
         """A copy of this instance that shares its rows, copy on write.
 
-        Only the three tables are copied.  From now on, either instance
-        copies a predicate's rows the first time it adds a fact of that
-        predicate, so neither sees the other's later adds.
+        Only the fact table and the two per-predicate tables are copied,
+        the index one entry per predicate.  From now on, either instance
+        copies a predicate's columns the first time it adds a fact of
+        that predicate, so neither sees the other's later adds.
         """
         copy = Instance()
         copy._facts = self._facts.copy()
@@ -281,17 +289,32 @@ class Instance:
         if predicate in self._shared:
             self._unshare(predicate)
         self._by_predicate.setdefault(predicate, []).append(fact)
-        for i, t in enumerate(fact.terms):
-            self.index.setdefault((predicate, i, t), []).append(fact)
+        columns = self.index.get(predicate)
+        if columns is None:
+            columns = self.index[predicate] = tuple({} for _ in fact.terms)
+        single = (fact,)
+        for column, t in zip(columns, fact.terms):
+            row = column.get(t)
+            if row is None:
+                column[t] = single
+            elif row.__class__ is tuple:
+                column[t] = [row[0], fact]
+            else:
+                row.append(fact)
         return True
 
     def _unshare(self, predicate: str) -> None:
-        """Give this instance its own copy of ``predicate``'s rows."""
+        """Give this instance its own copy of ``predicate``'s columns.
+        Their 1-tuple rows stay shared, since no add changes a tuple;
+        only the list rows are copied."""
         self._shared.discard(predicate)
-        facts = self._by_predicate[predicate] = self._by_predicate[predicate].copy()
-        index = self.index
-        for key in {(predicate, i, t) for f in facts for i, t in enumerate(f.terms)}:
-            index[key] = index[key].copy()
+        self._by_predicate[predicate] = self._by_predicate[predicate].copy()
+        columns = tuple(column.copy() for column in self.index[predicate])
+        for column in columns:
+            for t, row in column.items():
+                if row.__class__ is list:
+                    column[t] = row.copy()
+        self.index[predicate] = columns
 
     def __contains__(self, fact: Atom) -> bool:
         return fact in self._facts

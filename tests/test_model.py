@@ -1,5 +1,11 @@
+import tracemalloc
+from pathlib import Path
+
 import pytest
 
+from dlgx.benchgen import ScenarioSpec, generate_psc
+from dlgx.chase import ichase, oblivious, pchase_r, run_chase
+from dlgx.generator import generate_random_program
 from dlgx.model import (
     Atom,
     Instance,
@@ -138,3 +144,131 @@ def test_format_instance_is_sorted_and_stable():
     inst.add(Atom("q", ["b"]))
     inst.add(Atom("p", ["a", Null(1)]))
     assert format_instance(inst) == "p(a, _:e0n1).\nq(b).\n"
+
+
+def e(*terms):
+    return Atom("e", terms)
+
+
+def assert_index_consistent(inst):
+    """Each row of ``inst.index`` holds the facts of its predicate with its
+    term at its position, in insertion order, and is a tuple exactly when
+    it holds one fact."""
+    predicates = list(dict.fromkeys(f.predicate for f in inst))
+    assert list(inst.index) == predicates
+    for predicate in predicates:
+        facts = [f for f in inst if f.predicate == predicate]
+        assert inst.facts_for(predicate) == facts
+        columns = inst.index[predicate]
+        assert len(columns) == facts[0].arity
+        for pos, column in enumerate(columns):
+            expected = {}
+            for f in facts:
+                expected.setdefault(f.terms[pos], []).append(f)
+            assert list(column) == list(expected)
+            for term, row in column.items():
+                assert list(row) == expected[term]
+                assert isinstance(row, tuple) == (len(row) == 1)
+                assert isinstance(row, (tuple, list))
+
+
+class TestFork:
+    def test_a_forks_writes_never_show_in_the_base_nor_the_bases_in_the_fork(self):
+        base = Instance.from_facts([e("a", "b"), e("a", "c"), Atom("f", ["a"])])
+        fork = base.fork()
+        assert fork.add(e("b", "c"))
+        assert fork.add(Atom("g", ["x"]))
+        assert base.add(e("a", "d"))
+        assert base.add(Atom("f", ["b"]))
+        common = [e("a", "b"), e("a", "c"), Atom("f", ["a"])]
+        assert list(base) == common + [e("a", "d"), Atom("f", ["b"])]
+        assert list(fork) == common + [e("b", "c"), Atom("g", ["x"])]
+        assert e("b", "c") not in base and e("a", "d") not in fork
+        assert base.facts_for("e") == [e("a", "b"), e("a", "c"), e("a", "d")]
+        assert fork.facts_for("e") == [e("a", "b"), e("a", "c"), e("b", "c")]
+        assert base.index["e"][0]["a"] == [e("a", "b"), e("a", "c"), e("a", "d")]
+        assert fork.index["e"][0]["a"] == [e("a", "b"), e("a", "c")]
+        assert "b" not in base.index["e"][0] and "d" not in fork.index["e"][1]
+        assert "g" not in base.index and fork.facts_for("g") == [Atom("g", ["x"])]
+        assert fork.facts_for("f") == [Atom("f", ["a"])]
+        for inst in (base, fork):
+            assert_index_consistent(inst)
+
+    def test_a_shared_single_fact_row_promoted_by_the_fork_stays_single_in_the_base(self):
+        base = Instance.from_facts([e("a", "b")])
+        fork = base.fork()
+        assert base.index["e"][0]["a"] is fork.index["e"][0]["a"] == (e("a", "b"),)
+        fork.add(e("a", "c"))
+        assert fork.index["e"][0]["a"] == [e("a", "b"), e("a", "c")]
+        assert base.index["e"][0]["a"] == (e("a", "b"),)
+        base.add(e("a", "d"))
+        assert base.index["e"][0]["a"] == [e("a", "b"), e("a", "d")]
+        assert fork.index["e"][0]["a"] == [e("a", "b"), e("a", "c")]
+        assert base.index["e"][1] == {"b": (e("a", "b"),), "d": (e("a", "d"),)}
+        assert fork.index["e"][1] == {"b": (e("a", "b"),), "c": (e("a", "c"),)}
+        for inst in (base, fork):
+            assert_index_consistent(inst)
+
+    def test_forks_of_one_base_and_of_a_fork_are_independent(self):
+        base = Instance.from_facts([e("a", "a"), e("a", "b")])
+        first, second = base.fork(), base.fork()
+        third = first.fork()
+        first.add(e("a", "c"))
+        second.add(e("b", "a"))
+        third.add(e("c", "a"))
+        assert [len(i) for i in (base, first, second, third)] == [2, 3, 3, 3]
+        assert base.index["e"][0]["a"] == [e("a", "a"), e("a", "b")]
+        assert second.index["e"][1]["a"] == [e("a", "a"), e("b", "a")]
+        assert third.index["e"][1]["a"] == [e("a", "a"), e("c", "a")]
+        assert "c" not in third.index["e"][1]
+        for inst in (base, first, second, third):
+            assert_index_consistent(inst)
+
+    def test_rows_keep_insertion_order(self):
+        facts = [e(x, y) for x in "cab" for y in "bca"]
+        inst = Instance.from_facts(facts)
+        fork = inst.fork()
+        fork.add(e("a", "d"))
+        assert inst.facts_for("e") == facts
+        assert fork.facts_for("e") == facts + [e("a", "d")]
+        assert list(inst.index["e"][0]) == ["c", "a", "b"]
+        assert fork.index["e"][0]["a"] == [e("a", "b"), e("a", "c"), e("a", "a"), e("a", "d")]
+        assert inst.index["e"][1]["b"] == [e("c", "b"), e("a", "b"), e("b", "b")]
+        assert_index_consistent(inst)
+        assert_index_consistent(fork)
+
+
+RUN_SEEDS = range(200)
+RUN_VARIANTS = (pchase_r(1), ichase(), oblivious())
+PSC_CHAIN = Path(__file__).parent / "golden" / "psc_chain.dlgx"
+
+
+def test_run_indexes_are_consistent_and_leave_the_base_unchanged():
+    # the generated programs hold few multi-fact rows; psc_chain adds some
+    programs = [(seed, generate_random_program(seed)) for seed in RUN_SEEDS]
+    programs.append(("psc_chain", parse_program(PSC_CHAIN.read_text(encoding="utf-8"))))
+    for name, program in programs:
+        for variant in RUN_VARIANTS:
+            run = run_chase(program, variant, max_steps=300)
+            assert_index_consistent(run.result)
+            base = program.compiled.base
+            fresh = Instance.from_facts(program.facts)
+            assert list(base) == list(fresh), (name, str(variant))
+            assert base.index == fresh.index, (name, str(variant))
+            assert base.active_epoch == 0
+
+
+def test_a_base_instance_holds_at_most_220_bytes_per_fact():
+    # psc-1k: 2,879 facts over three predicates; a fact's one-fact rows
+    # share one 1-tuple, so it costs its dict entries and few lists
+    spec = ScenarioSpec(name="psc", persons=1000, companies=1000, seed=0)
+    facts = generate_psc(spec).program.facts
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        inst = Instance.from_facts(facts)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(inst) == len(facts)
+    assert held / len(facts) <= 220

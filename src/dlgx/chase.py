@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 from itertools import chain, count
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from .analysis import compute_affected
 from .model import (
@@ -182,7 +182,7 @@ class BodyPlan:
     joins: tuple[Join, ...]
 
     def matches(
-        self, instance: Instance, delta: dict[str, list[Atom]], limit: int = _ALL
+        self, instance: Instance, delta: dict[str, Collection[Atom]], limit: int = _ALL
     ) -> set[tuple[Term, ...]]:
         """The values of every match into ``instance`` that maps at least
         one atom onto a ``delta`` fact (grouped by predicate), stopping
@@ -204,7 +204,7 @@ class BodyPlan:
         all matches into ``instance``, stopping at the ``limit``-th.  The
         pivot is the atom whose constants select the fewest facts."""
         join: Join = ()
-        rows: Sequence[Atom] = []
+        rows: Collection[Atom] = []
         for steps in self.joins:
             pivot_rows = _rows(steps[0], [], instance)
             if not join or len(pivot_rows) < len(rows):
@@ -312,16 +312,16 @@ def compile_rule(rule: Rule) -> RulePlan:
     return RulePlan(rule.id, body, tuple(head), len(existentials), tuple(constants), frontier)
 
 
-def _rows(step: Step, values: list, instance: Instance) -> Sequence[Atom]:
+def _rows(step: Step, values: list, instance: Instance) -> Collection[Atom]:
     """Candidate facts for a join step: the shortest row its keys select
-    in its predicate's columns, a tuple or a list, or every fact of its
-    predicate when no key fixes it.  The columns are looked up once, and
+    in its predicate's columns, a tuple or a list, or its predicate's
+    table when no key fixes it.  The columns are looked up once, and
     each key reads its column with the term alone."""
     predicate, keys = step[0], step[1]
     columns = instance.index.get(predicate)
     if columns is None:
         return []
-    rows: Optional[Sequence[Atom]] = None
+    rows: Optional[Collection[Atom]] = None
     for pos, slot, const in keys:
         row = columns[pos].get(const if slot is None else values[slot])
         if row is None:
@@ -334,7 +334,7 @@ def _rows(step: Step, values: list, instance: Instance) -> Sequence[Atom]:
 def _extend(
     steps: Join,
     k: int,
-    rows: Sequence[Atom],
+    rows: Collection[Atom],
     values: list,
     instance: Instance,
     leaf: Callable[[list], Optional[tuple]],
@@ -376,7 +376,7 @@ def _search(
     instance: Instance,
     leaf: Callable[[list], Optional[tuple]] = tuple,
     limit: int = _ALL,
-    rows: Optional[Sequence[Atom]] = None,
+    rows: Optional[Collection[Atom]] = None,
 ) -> set[tuple[Term, ...]]:
     """Run ``join`` over the whole instance; its first step scans ``rows``
     if given, else the rows its keys select."""
@@ -640,7 +640,7 @@ class ChaseRun:
 def _level_triggers(
     plans: Sequence[RulePlan],
     instance: Instance,
-    delta: dict[str, list[Atom]],
+    delta: dict[str, Collection[Atom]],
     rank: TermRank,
     limit: int = _ALL,
     retry: Optional[dict[int, list[tuple[Term, ...]]]] = None,
@@ -695,7 +695,7 @@ def run_chase(
     *,
     max_steps: Optional[int] = None,
     trace: bool = False,
-    on_level: Optional[Callable[[Instance, dict[str, list[Atom]]], bool]] = None,
+    on_level: Optional[Callable[[Instance, dict[str, Collection[Atom]]], bool]] = None,
 ) -> ChaseRun:
     """Execute one chase variant over the program's facts.
 
@@ -711,8 +711,8 @@ def run_chase(
 
     The program's rule plans, rank table and base instance are built on
     its first run and kept on the program object (``Program.compiled``);
-    each run forks the base instance, sharing its rows until it writes
-    to their predicate.
+    each run forks the base instance, sharing its tables and rows until
+    it writes to their predicate.
 
     Only the first epoch can end the run by blocking nothing: a further
     epoch would block every trigger on that trigger's own output, so it
@@ -726,8 +726,8 @@ def run_chase(
     ``on_level(instance, new_facts)`` is called once with the input facts
     before any trigger, and after every level that added facts with those
     facts.  ``new_facts`` files them by predicate, each predicate's in
-    the order they were added; its lists may be the instance's own rows
-    and shared with the base instance, so callers must not change them.
+    the order they were added; the input facts come as the instance's own
+    tables, shared with the base instance, so callers must not change them.
     Returning True ends the run with status ``query-satisfied``.  A level
     cut short by the step budget gets no call.
 
@@ -751,7 +751,7 @@ def run_chase(
     minted = 0  # nulls minted so far; the next one is numbered minted + 1
     blocked = 0
     status = FIXPOINT
-    # the facts the last level added, by predicate; first the input facts
+    delta: dict[str, Collection[Atom]]  # the facts the last level added, by predicate
     delta = {p: rows for p in program.schema if (rows := instance.facts_for(p))}
     if on_level is not None and on_level(instance, delta):
         status = QUERY_SATISFIED

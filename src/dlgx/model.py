@@ -18,6 +18,7 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence, Union
 
 if TYPE_CHECKING:
@@ -222,12 +223,15 @@ class Program:
 
 
 class Instance:
-    """A set of facts with per-predicate and per-position indexes.
+    """A set of facts in insertion-ordered per-predicate tables, indexed by position.
 
-    Iteration order is insertion order, which keeps chase runs
-    deterministic.  ``active_epoch`` marks the current resumption epoch:
-    nulls created in earlier epochs are frozen (rigid in homomorphism
-    checks).
+    ``_tables[predicate]`` holds the predicate's facts as dict keys, and
+    membership, length, iteration and :meth:`facts_for` read only these.
+    Iteration goes predicate by predicate, in the order of their first
+    facts, each in insertion order, which keeps chase runs deterministic.
+    As with any dict, neither a table nor the instance may be iterated
+    while facts are added.  ``active_epoch`` marks the current resumption
+    epoch: nulls of earlier epochs are frozen (rigid in homomorphism checks).
 
     ``index[predicate]`` holds one dict per position of the predicate,
     mapping each term there to its row: the facts with that term at that
@@ -236,24 +240,23 @@ class Instance:
     its second fact.  So a term that holds one fact's place costs one dict
     entry and no list.
 
-    :meth:`fork` copies an instance without copying its rows: a chase
-    run's instance shares each predicate's rows with the program's base
-    instance until its first write to that predicate.  So the lists that
-    :meth:`facts_for` hands out and the columns and rows of ``index`` may
-    be shared, and callers must not change them.
+    A chase run's instance is a :meth:`fork` of the program's base
+    instance, sharing each predicate's table, columns and rows until
+    either writes to that predicate.  So the tables that :meth:`facts_for`
+    hands out and the columns and rows of ``index`` may be shared, and
+    callers must not change them.
     """
 
-    __slots__ = ("_facts", "_by_predicate", "index", "active_epoch", "_shared")
+    __slots__ = ("_tables", "index", "active_epoch", "_shared")
 
     def __init__(self) -> None:
-        self._facts: dict[Atom, None] = {}
-        self._by_predicate: dict[str, list[Atom]] = {}
+        self._tables: dict[str, dict[Atom, None]] = {}
         # predicate -> one dict per 0-based position, term -> row; only
         # add and _unshare write it, and compiled joins read it (_rows)
         self.index: dict[str, tuple[dict[Term, Union[tuple[Atom], list[Atom]]], ...]] = {}
         self.active_epoch: int = 0
-        # predicates whose rows another instance may hold too; the first
-        # add of one copies its rows (see fork)
+        # predicates whose table and rows another instance may hold too;
+        # the first add of one copies them (see fork)
         self._shared: set[str] = set()
 
     @classmethod
@@ -264,36 +267,32 @@ class Instance:
         return inst
 
     def fork(self) -> "Instance":
-        """A copy of this instance that shares its rows, copy on write.
-
-        Only the fact table and the two per-predicate tables are copied,
-        the index one entry per predicate.  From now on, either instance
-        copies a predicate's columns the first time it adds a fact of
-        that predicate, so neither sees the other's later adds.
-        """
+        """A copy of this instance that shares its tables and rows, copy
+        on write: only the dicts of tables and columns are copied, one
+        entry per predicate.  Either instance copies a predicate's table
+        and columns at its first add of that predicate."""
         copy = Instance()
-        copy._facts = self._facts.copy()
-        copy._by_predicate = self._by_predicate.copy()
+        copy._tables = self._tables.copy()
         copy.index = self.index.copy()
         copy.active_epoch = self.active_epoch
-        copy._shared = set(self._by_predicate)
-        self._shared = set(self._by_predicate)
+        copy._shared = set(self._tables)
+        self._shared = set(self._tables)
         return copy
 
     def add(self, fact: Atom) -> bool:
         """Insert a fact; returns False if it was already present."""
-        if fact in self._facts:
-            return False
-        self._facts[fact] = None
         predicate = fact.predicate
-        if predicate in self._shared:
-            self._unshare(predicate)
-        self._by_predicate.setdefault(predicate, []).append(fact)
-        columns = self.index.get(predicate)
-        if columns is None:
-            columns = self.index[predicate] = tuple({} for _ in fact.terms)
+        table = self._tables.get(predicate)
+        if table is None:
+            table = self._tables[predicate] = {}
+            self.index[predicate] = tuple({} for _ in fact.terms)
+        elif fact in table:
+            return False
+        elif predicate in self._shared:
+            table = self._unshare(predicate)
+        table[fact] = None
         single = (fact,)
-        for column, t in zip(columns, fact.terms):
+        for column, t in zip(self.index[predicate], fact.terms):
             row = column.get(t)
             if row is None:
                 column[t] = single
@@ -303,33 +302,34 @@ class Instance:
                 row.append(fact)
         return True
 
-    def _unshare(self, predicate: str) -> None:
-        """Give this instance its own copy of ``predicate``'s columns.
-        Their 1-tuple rows stay shared, since no add changes a tuple;
-        only the list rows are copied."""
+    def _unshare(self, predicate: str) -> dict[Atom, None]:
+        """Give this instance its own copy of ``predicate``'s table and
+        columns, and return the table.  The 1-tuple rows stay shared, since
+        no add changes a tuple; only the list rows are copied."""
         self._shared.discard(predicate)
-        self._by_predicate[predicate] = self._by_predicate[predicate].copy()
+        table = self._tables[predicate] = self._tables[predicate].copy()
         columns = tuple(column.copy() for column in self.index[predicate])
         for column in columns:
             for t, row in column.items():
                 if row.__class__ is list:
                     column[t] = row.copy()
         self.index[predicate] = columns
+        return table
 
     def __contains__(self, fact: Atom) -> bool:
-        return fact in self._facts
+        return fact in self._tables.get(fact.predicate, ())
 
     def __len__(self) -> int:
-        return len(self._facts)
+        return sum(map(len, self._tables.values()))
 
     def __iter__(self) -> Iterator[Atom]:
-        return iter(self._facts)
+        return chain.from_iterable(self._tables.values())
 
-    def facts_for(self, predicate: str) -> list[Atom]:
-        """The facts of ``predicate`` in insertion order.  The list may be
-        shared with a forked instance until the first write to the
-        predicate, so callers must not change it."""
-        return self._by_predicate.get(predicate, [])
+    def facts_for(self, predicate: str) -> dict[Atom, None]:
+        """The table of ``predicate``, its facts in insertion order as dict
+        keys.  It may be shared with a forked instance until the first
+        write to the predicate, so callers must not change it."""
+        return self._tables.get(predicate, {})
 
 
 def freeze_nulls(instance: Instance) -> None:

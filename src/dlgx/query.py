@@ -8,7 +8,7 @@ output variables it returns the projected bindings as sorted tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Collection, Optional
 
 from .analysis import AnalysisReport, analyze, harmful_joins
 from .chase import (
@@ -145,7 +145,7 @@ def answer_with_variant(
         plan = compile_body(query.atoms)
         predicates = {a.predicate for a in query.atoms}
 
-        def on_level(instance: Instance, new_facts: dict[str, list[Atom]]) -> bool:
+        def on_level(instance: Instance, new_facts: dict[str, Collection[Atom]]) -> bool:
             # no match while a query predicate has no fact; once the last
             # one gets facts, every match uses one of them
             if not all(instance.facts_for(p) for p in predicates):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dlgx.benchgen import ScenarioSpec, generate_scenario
 from dlgx.chase import (
     ChaseVariant,
     NonTerminationRiskError,
@@ -46,6 +47,19 @@ import reference_matcher as reference
 
 
 PSC_CHAIN = Path(__file__).parent / "golden" / "psc_chain.dlgx"
+# benchgen's seed-0 psc and doctors-like programs at 40 entities: a
+# pchase_r(1) run of each holds 52 and 64 multi-fact index rows, where
+# the generated programs' 600 runs in test_model.py hold 39 between them
+SCENARIOS = (
+    ScenarioSpec(name="psc", persons=40, companies=40),
+    ScenarioSpec(name="doctors-like", patients=40, doctors=4),
+)
+
+
+def swept_programs():
+    """The generated programs of seeds 0-199, then the SCENARIOS programs."""
+    programs = [generate_random_program(seed) for seed in range(200)]
+    return programs + [generate_scenario(spec).program for spec in SCENARIOS]
 
 
 def atom(pred: str, *terms) -> Atom:
@@ -294,8 +308,7 @@ def test_blockers_match_the_reference_on_generated_programs(monkeypatch):
 
     monkeypatch.setattr(chase, "exists_homomorphism", homomorphism)
     monkeypatch.setattr(chase, "exists_isomorphic_embedding", isomorphism)
-    for seed in range(200):
-        program = generate_random_program(seed)
+    for program in swept_programs():
         for variant in (pchase_r(2), ichase(2)):
             run_chase(program, variant, max_steps=2000)
     assert min(verdicts.values()) > 100, verdicts
@@ -370,6 +383,15 @@ def test_runs_never_walk_the_whole_instance(monkeypatch):
 REUSE_VARIANTS = (pchase_r(1), ichase(), pchase_r(2), oblivious())
 
 
+def in_instance_order(facts):
+    """``facts`` without repeats, in the order an instance of them
+    iterates: predicate by predicate, in the order of their first facts,
+    each predicate's facts in the order given."""
+    facts = list(dict.fromkeys(facts))
+    predicates = list(dict.fromkeys(f.predicate for f in facts))
+    return sorted(facts, key=lambda f: predicates.index(f.predicate))
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -396,14 +418,16 @@ def test_runs_of_one_program_are_runs_of_a_fresh_parse(text):
         extra = Atom(first.predicate, (*first.terms[1:], "zz"))
         assert run.result.add(extra)
         assert extra in run.result.facts_for(extra.predicate)
-        runs.append((run, seen[0] + [extra]))
+        runs.append((run, in_instance_order(seen[0] + [extra])))
     assert extra not in program.compiled.base
-    assert list(program.compiled.base) == list(dict.fromkeys(program.facts))
+    assert list(program.compiled.base) == in_instance_order(program.facts)
     # and no later run wrote into an earlier run's result
     for run, facts in runs:
         assert list(run.result) == facts
         for predicate in {f.predicate for f in facts}:
-            assert run.result.facts_for(predicate) == [f for f in facts if f.predicate == predicate]
+            assert list(run.result.facts_for(predicate)) == [
+                f for f in facts if f.predicate == predicate
+            ]
 
 
 def test_a_resumption_re_decides_exactly_the_triggers_blocked_on_a_null(monkeypatch):
@@ -579,6 +603,32 @@ def test_oblivious_step_budget_bounds_enumeration():
     assert peak < 16 * 2**20 and elapsed < 5
 
 
+def test_roadmap_item_1_a_blocking_level_is_enumerated_whole_past_the_step_budget(monkeypatch):
+    """ROADMAP item 1, its open half, pinned: a blocked trigger costs no
+    budget, so a blocking run enumerates its whole level however few
+    steps are left.  Here the first level has 20**3 = 8,000 triggers and
+    the run fires 10 of them.  Item 1's fix, a cap on a level's
+    enumeration tied to the budget left, is meant to change the 8,000;
+    the oblivious run already stops one trigger past the budget."""
+    import dlgx.chase as chase
+
+    returned = []
+
+    def counting(*args, **kwargs):
+        triggers = _level_triggers(*args, **kwargs)
+        returned.append(len(triggers))
+        return triggers
+
+    monkeypatch.setattr(chase, "_level_triggers", counting)
+    text = "".join(f"p(c{i}).\n" for i in range(20)) + "q(X, Y, Z) :- p(X), p(Y), p(Z)."
+    program = parse_program(text)
+    for variant, enumerated in ((pchase(), [8000]), (ichase(), [8000]), (oblivious(), [11])):
+        returned.clear()
+        run = run_chase(program, variant, max_steps=10)
+        assert (run.status, run.fired_steps) == ("step-limit-reached", 10), variant
+        assert returned == enumerated, variant
+
+
 def test_oblivious_no_risk_on_plain_datalog():
     program = parse_program("e(a, b).\ne(b, c).\nt(X, Y) :- e(X, Y).\nt(X, Z) :- t(X, Y), e(Y, Z).")
     assert not has_nontermination_risk(program)
@@ -732,8 +782,8 @@ def checked_run(monkeypatch, program, variant, levels, **kwargs):
 
 def test_join_plans_match_the_reference_on_generated_programs(monkeypatch):
     levels = []
-    for seed in range(200):
-        checked_run(monkeypatch, generate_random_program(seed), pchase_r(2), levels, max_steps=2000)
+    for program in swept_programs():
+        checked_run(monkeypatch, program, pchase_r(2), levels, max_steps=2000)
     assert len(levels) > 600 and sum(levels) > 1000
 
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from dlgx.benchgen import ScenarioSpec, generate_psc
+from dlgx.benchgen import ScenarioSpec, generate_psc, generate_scenario
 from dlgx.chase import ichase, oblivious, pchase_r, run_chase
 from dlgx.generator import generate_random_program
 from dlgx.model import (
@@ -153,12 +153,13 @@ def e(*terms):
 def assert_index_consistent(inst):
     """Each row of ``inst.index`` holds the facts of its predicate with its
     term at its position, in insertion order, and is a tuple exactly when
-    it holds one fact."""
+    it holds one fact.  The instance iterates predicate by predicate."""
     predicates = list(dict.fromkeys(f.predicate for f in inst))
     assert list(inst.index) == predicates
+    assert list(inst) == [f for p in predicates for f in inst.facts_for(p)]
     for predicate in predicates:
         facts = [f for f in inst if f.predicate == predicate]
-        assert inst.facts_for(predicate) == facts
+        assert list(inst.facts_for(predicate)) == facts
         columns = inst.index[predicate]
         assert len(columns) == facts[0].arity
         for pos, column in enumerate(columns):
@@ -180,17 +181,18 @@ class TestFork:
         assert fork.add(Atom("g", ["x"]))
         assert base.add(e("a", "d"))
         assert base.add(Atom("f", ["b"]))
-        common = [e("a", "b"), e("a", "c"), Atom("f", ["a"])]
-        assert list(base) == common + [e("a", "d"), Atom("f", ["b"])]
-        assert list(fork) == common + [e("b", "c"), Atom("g", ["x"])]
+        # each instance iterates predicate by predicate, in insertion order
+        f_a, f_b, g_x = Atom("f", ["a"]), Atom("f", ["b"]), Atom("g", ["x"])
+        assert list(base) == [e("a", "b"), e("a", "c"), e("a", "d"), f_a, f_b]
+        assert list(fork) == [e("a", "b"), e("a", "c"), e("b", "c"), f_a, g_x]
         assert e("b", "c") not in base and e("a", "d") not in fork
-        assert base.facts_for("e") == [e("a", "b"), e("a", "c"), e("a", "d")]
-        assert fork.facts_for("e") == [e("a", "b"), e("a", "c"), e("b", "c")]
+        assert list(base.facts_for("e")) == [e("a", "b"), e("a", "c"), e("a", "d")]
+        assert list(fork.facts_for("e")) == [e("a", "b"), e("a", "c"), e("b", "c")]
         assert base.index["e"][0]["a"] == [e("a", "b"), e("a", "c"), e("a", "d")]
         assert fork.index["e"][0]["a"] == [e("a", "b"), e("a", "c")]
         assert "b" not in base.index["e"][0] and "d" not in fork.index["e"][1]
-        assert "g" not in base.index and fork.facts_for("g") == [Atom("g", ["x"])]
-        assert fork.facts_for("f") == [Atom("f", ["a"])]
+        assert "g" not in base.index and list(fork.facts_for("g")) == [g_x]
+        assert list(fork.facts_for("f")) == [f_a]
         for inst in (base, fork):
             assert_index_consistent(inst)
 
@@ -229,8 +231,8 @@ class TestFork:
         inst = Instance.from_facts(facts)
         fork = inst.fork()
         fork.add(e("a", "d"))
-        assert inst.facts_for("e") == facts
-        assert fork.facts_for("e") == facts + [e("a", "d")]
+        assert list(inst.facts_for("e")) == facts
+        assert list(fork.facts_for("e")) == facts + [e("a", "d")]
         assert list(inst.index["e"][0]) == ["c", "a", "b"]
         assert fork.index["e"][0]["a"] == [e("a", "b"), e("a", "c"), e("a", "a"), e("a", "d")]
         assert inst.index["e"][1]["b"] == [e("c", "b"), e("a", "b"), e("b", "b")]
@@ -241,12 +243,20 @@ class TestFork:
 RUN_SEEDS = range(200)
 RUN_VARIANTS = (pchase_r(1), ichase(), oblivious())
 PSC_CHAIN = Path(__file__).parent / "golden" / "psc_chain.dlgx"
+# benchgen's seed-0 psc and doctors-like programs at 40 entities
+SCENARIOS = (
+    ScenarioSpec(name="psc", persons=40, companies=40),
+    ScenarioSpec(name="doctors-like", patients=40, doctors=4),
+)
 
 
 def test_run_indexes_are_consistent_and_leave_the_base_unchanged():
-    # the generated programs hold few multi-fact rows; psc_chain adds some
+    # the generated programs hold few multi-fact rows (39 over their 600
+    # runs); psc_chain adds some, and a pchase_r(1) run of the scenarios
+    # holds 52 and 64
     programs = [(seed, generate_random_program(seed)) for seed in RUN_SEEDS]
     programs.append(("psc_chain", parse_program(PSC_CHAIN.read_text(encoding="utf-8"))))
+    programs += [(spec.name, generate_scenario(spec).program) for spec in SCENARIOS]
     for name, program in programs:
         for variant in RUN_VARIANTS:
             run = run_chase(program, variant, max_steps=300)
@@ -272,3 +282,20 @@ def test_a_base_instance_holds_at_most_220_bytes_per_fact():
         tracemalloc.stop()
     assert len(inst) == len(facts)
     assert held / len(facts) <= 220
+
+
+def test_a_fork_of_a_psc_1k_base_allocates_under_4_kb():
+    # a fork copies one table and one index entry per predicate and no
+    # fact, so its cost does not grow with the instance; copying a
+    # whole-instance fact dict took 148,224 bytes here (Python 3.11)
+    spec = ScenarioSpec(name="psc", persons=1000, companies=1000, seed=0)
+    base = Instance.from_facts(generate_psc(spec).program.facts)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fork = base.fork()
+        allocated = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(fork) == len(base) == 2879
+    assert allocated < 4096

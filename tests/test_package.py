@@ -1,4 +1,6 @@
 import ast
+import re
+import sys
 from pathlib import Path
 
 import dlgx
@@ -18,3 +20,24 @@ def test_every_module_parses_as_python_3_10():
     assert len(modules) > 5
     for path in modules:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def test_every_module_the_tests_import_is_installed_with_the_test_extra():
+    """A module a test file imports is in the standard library, is dlgx,
+    is a helper module of the test directory, or is named in the ``test``
+    extra of pyproject.toml, so ``pip install -e ".[test]"`` can collect
+    every test file."""
+    tests = Path(__file__).parent
+    pyproject = (tests.parent / "pyproject.toml").read_text(encoding="utf-8")
+    extra = re.search(r"^test = \[(.*)\]$", pyproject, re.MULTILINE).group(1)
+    allowed = {name.lower().replace("-", "_") for name in re.findall(r'"([A-Za-z0-9_.-]+)', extra)}
+    allowed |= {"dlgx"} | {path.stem for path in tests.glob("*.py")}
+    imported = set()
+    for path in sorted(tests.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert {"pytest", "jsonschema", "hypothesis"} <= imported
+    assert sorted(imported - allowed - set(sys.stdlib_module_names)) == []

@@ -175,11 +175,13 @@ class BodyPlan:
     ``joins[p]`` enumerates the atoms with atom ``p`` as the pivot: its
     first step matches the pivot against one fact (constants and repeated
     variables become checks), the rest visit the other atoms in a fixed
-    order, most bound positions first.
+    order, most bound positions first.  ``cuts`` caches, per tuple of
+    outputs, their projection and each join split where they are bound.
     """
 
     slots: tuple[str, ...]
     joins: tuple[Join, ...]
+    cuts: dict = field(default_factory=dict, compare=False, repr=False)
 
     def matches(
         self, instance: Instance, delta: dict[str, Collection[Atom]], limit: int = _ALL
@@ -202,15 +204,55 @@ class BodyPlan:
     ) -> set[tuple[Term, ...]]:
         """The distinct images of ``outputs`` (every slot when empty) over
         all matches into ``instance``, stopping at the ``limit``-th.  The
-        pivot is the atom whose constants select the fewest facts."""
+        pivot is the atom whose constants select the fewest facts.
+
+        A match stops at the first step after which every output is bound.
+        The steps after it, when one of them binds a slot, only check that
+        the match extends to the whole body, up to the first extension
+        they find, so they are never joined in full."""
+        outputs = tuple(outputs)
+        cut = self.cuts.get(outputs)
+        if cut is None:
+            cut = self.cuts[outputs] = self._cut(outputs)
+        project, splits = cut
         join: Join = ()
+        rest: Join = ()
         rows: Collection[Atom] = []
-        for steps in self.joins:
+        for steps, after in splits:
             pivot_rows = _rows(steps[0], [], instance)
             if not join or len(pivot_rows) < len(rows):
-                join, rows = steps, pivot_rows
-        leaf = _projection([self.slots.index(name) for name in outputs]) if outputs else tuple
+                join, rest, rows = steps, after, pivot_rows
+        leaf = project
+        if rest:
+            first, checked = rest[0], set()
+
+            def leaf(values: list) -> Optional[tuple]:
+                if _extend(
+                    rest, 0, _rows(first, values, instance), values, instance, _exists, checked, 1
+                ):
+                    return project(values)
+                return None
+
         return _search(join, [None] * len(self.slots), instance, leaf, limit, rows)
+
+    def _cut(self, outputs: tuple[str, ...]) -> tuple[Callable[[list], tuple], tuple]:
+        """The projection onto ``outputs`` and, per join, its steps up to
+        the one that binds the last output and the steps after it.  A
+        join whose later steps bind no slot only checks them, so it is
+        kept whole, as every join is when the outputs are every slot."""
+        slots = [self.slots.index(name) for name in outputs]
+        project = _projection(slots) if slots else tuple
+        if not slots or len(set(slots)) == len(self.slots):
+            return project, tuple((steps, ()) for steps in self.joins)
+        splits = []
+        for steps in self.joins:
+            unbound, k = set(slots), 0
+            while unbound:
+                unbound.difference_update([slot for _, slot in steps[k][2]])
+                k += 1
+            rest = steps[k:]
+            splits.append((steps[:k], rest) if any(step[2] for step in rest) else (steps, ()))
+        return project, tuple(splits)
 
 
 @dataclass(frozen=True)
@@ -388,6 +430,11 @@ def _search(
         _extend(join, 0, rows, values, instance, leaf, found, limit)
     found.discard(None)
     return found
+
+
+def _exists(values: list) -> tuple:
+    """The leaf of an existence check: any match gives the same row."""
+    return ()
 
 
 def _projection(slots: Sequence[int]) -> Callable[[list], tuple]:

@@ -8,6 +8,7 @@ output variables it returns the projected bindings as sorted tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Collection, Optional
 
 from .analysis import AnalysisReport, analyze, harmful_joins
@@ -98,10 +99,16 @@ def evaluate_query(query: Query, instance: Instance) -> Answer:
             return Answer(verdict=False)
         return Answer(verdict=True, witness=dict(zip(plan.slots, found.pop())))
     # stable sorts from the last column to the first leave the rows in term
-    # order, column by column, with one small key per row alive at a time
+    # order, column by column; a column of constants sorts as plain str,
+    # and only a column that holds a null needs a term_sort_key per row
     rows = list(plan.evaluate(instance, query.output_vars))
-    for i in reversed(range(len(query.output_vars))):
-        rows.sort(key=lambda row: term_sort_key(row[i]))
+    if len(rows) > 1:
+        for i in reversed(range(len(query.output_vars))):
+            column = itemgetter(i)
+            if all(term.__class__ is str for term in map(column, rows)):
+                rows.sort(key=column)
+            else:
+                rows.sort(key=lambda row: term_sort_key(row[i]))
     return Answer(verdict=bool(rows), tuples=rows)
 
 

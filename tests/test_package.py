@@ -32,12 +32,27 @@ def test_every_module_the_tests_import_is_installed_with_the_test_extra():
     extra = re.search(r"^test = \[(.*)\]$", pyproject, re.MULTILINE).group(1)
     allowed = {name.lower().replace("-", "_") for name in re.findall(r'"([A-Za-z0-9_.-]+)', extra)}
     allowed |= {"dlgx"} | {path.stem for path in tests.glob("*.py")}
+    imported = top_level_imports(tests.glob("*.py"))
+    assert {"pytest", "jsonschema", "hypothesis"} <= imported
+    assert sorted(imported - allowed - set(sys.stdlib_module_names)) == []
+
+
+def test_the_package_imports_only_the_standard_library():
+    """pyproject.toml lists no runtime dependency, so every module the
+    package imports, anywhere in a file, is in the standard library or is
+    dlgx itself, even where a faster third-party module is installed."""
+    imported = top_level_imports(Path(dlgx.__file__).parent.glob("*.py"))
+    assert {"dataclasses", "re"} <= imported
+    assert sorted(imported - {"dlgx"} - set(sys.stdlib_module_names)) == []
+
+
+def top_level_imports(paths) -> set[str]:
+    """The top-level name of every absolute import in the files at ``paths``."""
     imported = set()
-    for path in sorted(tests.glob("*.py")):
+    for path in sorted(paths):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
             if isinstance(node, ast.Import):
                 imported.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
-    assert {"pytest", "jsonschema", "hypothesis"} <= imported
-    assert sorted(imported - allowed - set(sys.stdlib_module_names)) == []
+    return imported

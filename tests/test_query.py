@@ -6,6 +6,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+import dlgx.chase
 from dlgx.chase import ichase, oblivious, pchase, pchase_r, run_chase
 from dlgx.generator import generate_random_program, generate_random_query
 from dlgx.model import Atom, Instance, Null, Variable
@@ -137,6 +138,49 @@ class TestEvaluateQuery:
         expected = [(x, y) for x in order for y in order]
         assert evaluate_query(query, inst).tuples == expected
 
+    def test_a_column_of_nulls_sorts_by_term_order(self):
+        # Null is a named tuple (counter, epoch), so tuple order would put
+        # Null(2, 1) first and a wrong sort key would raise no error
+        nulls = [Null(2, 1), Null(10, 0), Null(3, 0)]
+        order = [Null(3, 0), Null(10, 0), Null(2, 1)]
+        inst = Instance.from_facts(
+            [*(Atom("e", ("b", n)) for n in nulls), *(Atom("e", ("a", n)) for n in nulls)]
+        )
+        e = q("?- e(X, Y).").atoms
+        assert evaluate_query(Query(e, ("Y",)), inst).tuples == [(n,) for n in order]
+        assert evaluate_query(Query(e, ("X", "Y")), inst).tuples == [
+            (x, n) for x in "ab" for n in order
+        ]
+        assert evaluate_query(Query(e, ("Y", "X")), inst).tuples == [
+            (n, x) for n in order for x in "ab"
+        ]
+        one = Instance.from_facts([Atom("e", ("a", Null(2, 1)))])
+        assert evaluate_query(Query(e, ("Y",)), one).tuples == [(Null(2, 1),)]
+        none = evaluate_query(Query(q("?- e(c, Y).").atoms, ("Y",)), inst)
+        assert none.tuples == [] and none.verdict is False
+
+    def test_a_match_stops_once_its_outputs_are_bound(self, monkeypatch):
+        # one specialist at 30 hospitals with 900 cases: the outputs D, S
+        # are bound by spec alone, so works and case need one match, not 900
+        facts = [Atom("spec", ("d", "s"))]
+        for i in range(30):
+            facts.append(Atom("works", ("d", f"h{i}")))
+            facts.extend(Atom("case", (f"p{j}", "d", f"h{i}")) for j in range(30))
+        inst = Instance.from_facts(facts)
+        query = Query(q("?- spec(D, S), works(D, H), case(P, D, H).").atoms, ("D", "S"))
+        calls = []
+
+        def counted(step, values, instance):
+            calls.append(step[0])
+            return rows(step, values, instance)
+
+        rows = dlgx.chase._rows
+        monkeypatch.setattr(dlgx.chase, "_rows", counted)
+        assert evaluate_query(query, inst).tuples == [("d", "s")]
+        # one row per atom to pick the pivot, then works once and case
+        # once; a full join reads case's row once per works fact
+        assert len(calls) <= 6, calls
+
     def test_output_vars_must_occur_in_atoms(self):
         with pytest.raises(ValueError):
             Query(atoms=(Atom("p", (Variable("X"),)),), output_vars=("Z",))
@@ -155,7 +199,7 @@ class TestEvaluateQuery:
     def test_answers_match_the_reference_on_generated_pairs(self):
         """Verdicts, witnesses and answer sets of criterion 4's queries,
         against the naive reference matcher, on final chase instances."""
-        checked = true = 0
+        checked = true = projected = 0
         for seed in range(200):
             program = generate_random_program(seed)
             query = generate_random_query(program, (seed + 1) * 31 + 7)
@@ -176,8 +220,17 @@ class TestEvaluateQuery:
                     expected = reference.answers(query.atoms, names, instance)
                     assert rows.tuples == expected, context
                     assert rows.verdict == bool(expected), context
+                # every proper prefix and suffix of the variables as outputs:
+                # a match stops once its outputs are bound, so the atoms that
+                # bind only later variables are merely checked for a match
+                for k in range(1, len(names)):
+                    for outputs in (names[:k], names[k:]):
+                        rows = evaluate_query(Query(query.atoms, outputs), instance)
+                        expected = reference.answers(query.atoms, outputs, instance)
+                        assert rows.tuples == expected, (*context, outputs)
+                        projected += 1
                 checked += 1
-        assert checked == 400 and true > 100
+        assert checked == 400 and true > 100 and projected > 400
 
 
 def test_default_resumptions_is_atom_count():

@@ -3,7 +3,7 @@ query answering.
 
 The public surface groups into:
 
-* ``model``: terms, atoms, rules, programs, instances.
+* ``model``: terms, atoms, rules, programs, queries, instances.
 * ``parser``: the ``.dlgx`` text format, query files, CSV fact files.
 * ``analysis``: affected/invaded position fixpoints and the shy /
   warded / protected classifiers.
@@ -13,145 +13,104 @@ The public surface groups into:
   cross-variant differential harness.
 * ``generator`` / ``benchgen``: seeded random programs and synthetic
   benchmark scenarios.
+
+``import dlgx`` loads none of these modules: each public name is imported
+from its module on first access and then kept here (PEP 562).  Any other
+name raises AttributeError, so ``from dlgx import chase`` loads the module.
 """
-from .analysis import (
-    AnalysisReport,
-    FragmentVerdicts,
-    InternalInconsistencyError,
-    Violation,
-    analyze,
-    check_protected,
-    check_shy,
-    check_warded,
-    classify_variables,
-    compute_affected,
-    compute_invaded,
-    harmful_joins,
-)
-from .benchgen import (
-    BenchResult,
-    GeneratorConstraintViolation,
-    Scenario,
-    ScenarioSpec,
-    generate_doctors_like,
-    generate_psc,
-    generate_scenario,
-    run_bench,
-    write_scenario,
-)
-from .chase import (
-    ChaseRun,
-    ChaseVariant,
-    NonTerminationRiskError,
-    compare_chase_containment,
-    exists_homomorphism,
-    exists_isomorphic_embedding,
-    ichase,
-    oblivious,
-    parse_variant,
-    pchase,
-    pchase_r,
-    run_chase,
-)
-from .generator import (
-    GeneratorProfile,
-    classify_outcome,
-    generate_random_program,
-    generate_random_query,
-)
-from .model import (
-    Atom,
-    Instance,
-    Null,
-    Position,
-    Program,
-    Rule,
-    SchemaError,
-    Variable,
-    format_instance,
-    freeze_nulls,
-)
-from .parser import (
-    ParseDiagnostic,
-    ParseError,
-    load_facts_csv,
-    parse_program,
-    parse_query,
-    print_program,
-    print_query,
-)
-from .query import (
-    Answer,
-    DifferentialReport,
-    Query,
-    answer_with_variant,
-    default_resumptions,
-    differential_bcqa,
-    evaluate_query,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisReport",
-    "Answer",
-    "Atom",
-    "BenchResult",
-    "ChaseRun",
-    "ChaseVariant",
-    "DifferentialReport",
-    "FragmentVerdicts",
-    "GeneratorConstraintViolation",
-    "GeneratorProfile",
-    "Instance",
-    "InternalInconsistencyError",
-    "NonTerminationRiskError",
-    "Null",
-    "ParseDiagnostic",
-    "ParseError",
-    "Position",
-    "Program",
-    "Query",
-    "Rule",
-    "Scenario",
-    "ScenarioSpec",
-    "SchemaError",
-    "Variable",
-    "Violation",
-    "analyze",
-    "answer_with_variant",
-    "check_protected",
-    "check_shy",
-    "check_warded",
-    "classify_outcome",
-    "classify_variables",
-    "compare_chase_containment",
-    "compute_affected",
-    "compute_invaded",
-    "default_resumptions",
-    "differential_bcqa",
-    "evaluate_query",
-    "exists_homomorphism",
-    "exists_isomorphic_embedding",
-    "format_instance",
-    "freeze_nulls",
-    "generate_doctors_like",
-    "generate_psc",
-    "generate_random_program",
-    "generate_random_query",
-    "generate_scenario",
-    "harmful_joins",
-    "ichase",
-    "load_facts_csv",
-    "oblivious",
-    "parse_program",
-    "parse_query",
-    "parse_variant",
-    "pchase",
-    "pchase_r",
-    "print_program",
-    "print_query",
-    "run_bench",
-    "run_chase",
-    "write_scenario",
-]
+_EXPORTS = {
+    "model": (
+        "Atom",
+        "Instance",
+        "Null",
+        "Position",
+        "Program",
+        "Query",
+        "Rule",
+        "SchemaError",
+        "Variable",
+        "format_instance",
+        "freeze_nulls",
+    ),
+    "parser": (
+        "ParseDiagnostic",
+        "ParseError",
+        "load_facts_csv",
+        "parse_program",
+        "parse_query",
+        "print_program",
+        "print_query",
+    ),
+    "analysis": (
+        "AnalysisReport",
+        "FragmentVerdicts",
+        "InternalInconsistencyError",
+        "Violation",
+        "analyze",
+        "check_protected",
+        "check_shy",
+        "check_warded",
+        "classify_variables",
+        "compute_affected",
+        "compute_invaded",
+        "harmful_joins",
+    ),
+    "chase": (
+        "ChaseRun",
+        "ChaseVariant",
+        "NonTerminationRiskError",
+        "compare_chase_containment",
+        "exists_homomorphism",
+        "exists_isomorphic_embedding",
+        "ichase",
+        "oblivious",
+        "parse_variant",
+        "pchase",
+        "pchase_r",
+        "run_chase",
+    ),
+    "query": (
+        "Answer",
+        "DifferentialReport",
+        "answer_with_variant",
+        "default_resumptions",
+        "differential_bcqa",
+        "evaluate_query",
+    ),
+    "generator": (
+        "GeneratorProfile",
+        "classify_outcome",
+        "generate_random_program",
+        "generate_random_query",
+    ),
+    "benchgen": (
+        "BenchResult",
+        "GeneratorConstraintViolation",
+        "Scenario",
+        "ScenarioSpec",
+        "generate_doctors_like",
+        "generate_psc",
+        "generate_scenario",
+        "run_bench",
+        "write_scenario",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _MODULE_OF.keys())

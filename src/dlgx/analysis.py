@@ -25,18 +25,16 @@ A non-harmless variable that also occurs in the head is *dangerous*.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .model import (
     Atom,
     ExistentialVarId,
     Position,
     Program,
+    Query,
     Variable,
 )
-
-if TYPE_CHECKING:
-    from .query import Query
 
 HARMLESS = "harmless"
 PROTECTED_HARMFUL = "protected-harmful"
@@ -178,7 +176,7 @@ def compute_affected(program: Program) -> frozenset[Position]:
 
 
 def harmful_joins(
-    program: Program, query: Optional["Query"] = None
+    program: Program, query: Optional[Query] = None
 ) -> list[tuple[Optional[int], str]]:
     """Body variables that occur at least twice, every occurrence at an
     affected position, as (rule id, name) pairs; the query, read as the

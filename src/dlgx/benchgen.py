@@ -31,9 +31,9 @@ from typing import Optional, Sequence
 
 from .analysis import analyze
 from .chase import ChaseVariant, run_chase
-from .model import Atom, Program, Rule, Variable
+from .model import Atom, Program, Query, Rule, Variable
 from .parser import print_program, print_query
-from .query import Query, evaluate_query
+from .query import evaluate_query
 
 SCENARIO_NAMES = ("psc", "doctors-like")
 

@@ -23,12 +23,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .analysis import AnalysisReport, analyze, harmful_joins
-from .benchgen import (
-    ScenarioSpec,
-    generate_scenario,
-    run_bench,
-    write_scenario,
-)
 from .chase import (
     FIXPOINT,
     ISOMORPHISM,
@@ -37,7 +31,7 @@ from .chase import (
     parse_variant,
     run_chase,
 )
-from .model import Null, Program, format_instance, format_term
+from .model import Null, Program, Query, format_instance, format_term
 from .parser import (
     ParseError,
     load_facts_csv,
@@ -46,7 +40,7 @@ from .parser import (
     print_program,
     print_query,
 )
-from .query import DIFF_BUDGET, Query, answer_with_variant, default_resumptions, differential_bcqa
+from .query import DIFF_BUDGET, answer_with_variant, default_resumptions, differential_bcqa
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -217,7 +211,9 @@ def cmd_diff(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
+def _spec_from_args(args: argparse.Namespace):
+    from .benchgen import ScenarioSpec
+
     if args.scenario == "psc":
         return ScenarioSpec(
             name="psc",
@@ -236,6 +232,8 @@ def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .benchgen import generate_scenario, run_bench
+
     spec = _spec_from_args(args)
     scenario = generate_scenario(spec)
     variants = [parse_variant(name.strip()) for name in args.variants.split(",") if name.strip()]
@@ -252,6 +250,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from .benchgen import generate_scenario, write_scenario
+
     spec = _spec_from_args(args)
     scenario = generate_scenario(spec)
     written = write_scenario(scenario, args.out)

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .analysis import AnalysisReport
-from .model import Atom, Program, Rule, Term, Variable
-from .query import Query
+from .model import Atom, Program, Query, Rule, Term, Variable
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Core syntactic objects: terms, atoms, rules, programs, and instances.
+"""Core syntactic objects: terms, atoms, rules, programs, queries, instances.
 
 Terms are constants (a plain ``str``, the symbol), variables and labelled
 nulls.  Nulls carry the resumption epoch they were created in; an
@@ -220,6 +220,24 @@ class Program:
 
     def has_existential_rules(self) -> bool:
         return any(r.existential_vars for r in self.rules)
+
+
+@dataclass(frozen=True)
+class Query:
+    """A conjunctive query; with no output variables it is Boolean."""
+
+    atoms: tuple[Atom, ...]
+    output_vars: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        names = {v.name for a in self.atoms for v in a.variables()}
+        missing = [v for v in self.output_vars if v not in names]
+        if missing:
+            raise ValueError(f"output variables not in query: {', '.join(missing)}")
+
+    @property
+    def is_boolean(self) -> bool:
+        return not self.output_vars
 
 
 class Instance:

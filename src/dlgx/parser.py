@@ -35,12 +35,12 @@ from typing import NoReturn, Optional, Sequence
 from .model import (
     Atom,
     Program,
+    Query,
     Rule,
     Term,
     Variable,
     format_atom,
 )
-from .query import Query
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
-"""Conjunctive queries over chase results, and the differential harness
-that makes the chase-equivalence properties executable.
+"""Conjunctive query evaluation over chase results, and the differential
+harness that makes the chase-equivalence properties executable.
 
-A query with no output variables is Boolean: true iff its atoms map
-homomorphically into the instance (variables may bind to nulls).  With
-output variables it returns the projected bindings as sorted tuples.
+A query (``dlgx.model.Query``) with no output variables is Boolean: true
+iff its atoms map homomorphically into the instance (variables may bind
+to nulls); with output variables it returns the sorted projected bindings.
 """
 from __future__ import annotations
 
@@ -26,26 +26,11 @@ from .model import (
     Atom,
     Instance,
     Program,
+    Query,
     Term,
     format_term,
     term_sort_key,
 )
-
-
-@dataclass(frozen=True)
-class Query:
-    atoms: tuple[Atom, ...]
-    output_vars: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        names = {v.name for a in self.atoms for v in a.variables()}
-        missing = [v for v in self.output_vars if v not in names]
-        if missing:
-            raise ValueError(f"output variables not in query: {', '.join(missing)}")
-
-    @property
-    def is_boolean(self) -> bool:
-        return not self.output_vars
 
 
 @dataclass

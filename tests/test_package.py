@@ -3,12 +3,45 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 import dlgx
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in dlgx.__all__ if not hasattr(dlgx, name)]
     assert missing == []
+
+
+def test_a_star_import_binds_exactly_the_exported_names():
+    namespace = {}
+    exec("from dlgx import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(dlgx.__all__)
+    assert set(dlgx.__all__) <= set(dir(dlgx))
+
+
+def test_query_is_one_class_under_every_name():
+    import dlgx.model
+    import dlgx.query
+
+    assert dlgx.Query is dlgx.model.Query is dlgx.query.Query
+
+
+def test_an_unknown_name_raises_attribute_error_naming_the_package():
+    with pytest.raises(AttributeError, match="module 'dlgx' has no attribute 'no_such_name'"):
+        dlgx.no_such_name
+
+
+def test_a_submodule_imports_by_name_from_the_package():
+    from dlgx import analysis, benchgen, chase, parser, query
+
+    assert [m.__name__ for m in (analysis, benchgen, chase, parser, query)] == [
+        "dlgx.analysis",
+        "dlgx.benchgen",
+        "dlgx.chase",
+        "dlgx.parser",
+        "dlgx.query",
+    ]
 
 
 def test_every_module_parses_as_python_3_10():

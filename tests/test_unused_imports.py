@@ -2,10 +2,9 @@
 that file, and every private helper a module of the package defines is
 used in that module.
 
-``__init__.py`` is left out: its imports are the public surface.  A name
-counts as used when it is read as a name (which covers the base of an
-attribute, ``mod.attr``) or when it occurs inside a string annotation,
-such as ``Optional["Query"]`` under ``TYPE_CHECKING``.  A private helper
+A name counts as used when it is read as a name (which covers the base
+of an attribute, ``mod.attr``) or when it occurs inside a string
+annotation, such as ``"CompiledProgram"`` under ``TYPE_CHECKING``.  A private helper
 is a module-level function, class or constant whose name starts with a
 single ``_``.
 """
@@ -15,7 +14,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dlgx"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 

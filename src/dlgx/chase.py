@@ -41,7 +41,8 @@ moment the trigger is evaluated.
 
 One compiled matcher serves rules, queries, blockers and containment.
 Each rule is compiled once into a :class:`RulePlan`, whose body is a
-:class:`BodyPlan` (a query compiles into one too).  Its body variables
+:class:`BodyPlan`; a query compiles into one too, of its core
+(:func:`compile_query`).  Its body variables
 become slots in sorted-name order, so a trigger is just ``(plan,
 values)``.  For each body atom taken as the pivot (matched against the
 level's new facts, or for a query against the index row its constants
@@ -562,6 +563,94 @@ def exists_isomorphic_embedding(fact_set: Iterable[Atom], target: Instance) -> b
         return None
 
     return bool(_search(join, values, target, injective_on_nulls, limit=1))
+
+
+# ---------------------------------------------------------------------------
+# Queries run as their cores
+#
+# A query's core is a least subset of its atoms that the whole query maps
+# into with its outputs and constants fixed.  A query and its core have
+# the same answers on every instance, nulls included (Chandra and Merlin,
+# STOC 1977), so a query's atoms that fold onto others are never joined.
+
+CORE_ATOMS = 8  # a longer query runs as written: finding a core is NP-complete
+
+
+def _maps_into(
+    pattern: Sequence[Atom], target: Sequence[Atom], fixed: Collection[Variable]
+) -> Optional[dict[Term, Term]]:
+    """A mapping of the variables of ``pattern`` outside ``fixed`` under
+    which every pattern atom is one of ``target``, or None.  A plain
+    backtracking search, since both sides are a query's atoms, at most
+    ``CORE_ATOMS`` of them; each next atom has the most terms fixed by
+    then, ties in written order."""
+    candidates: dict[str, list[tuple[Term, ...]]] = {}
+    for fact in target:
+        candidates.setdefault(fact.predicate, []).append(fact.terms)
+    rest, seen, order = list(pattern), set(fixed), []
+    while rest:
+        atom = max(rest, key=lambda a: sum(t in seen or not isinstance(t, Variable) for t in a.terms))
+        rest.remove(atom)
+        order.append(atom)
+        seen.update(atom.variables())
+
+    def extend(i: int, mapping: dict[Term, Term]) -> Optional[dict[Term, Term]]:
+        if i == len(order):
+            return mapping
+        atom = order[i]
+        for terms in candidates.get(atom.predicate, ()):
+            image = dict(mapping)
+            if all(
+                image.setdefault(t, u) == u if isinstance(t, Variable) and t not in fixed else t == u
+                for t, u in zip(atom.terms, terms)
+            ):
+                found = extend(i + 1, image)
+                if found is not None:
+                    return found
+        return None
+
+    return extend(0, {})
+
+
+def query_core(atoms: tuple[Atom, ...], outputs: Collection[str]) -> tuple[Atom, ...]:
+    """The core of the query with these ``atoms`` and ``outputs``.
+
+    Each atom, the last first, is dropped while the whole query still
+    maps into the rest.  One pass finds the core: an atom that cannot be
+    dropped from the query cannot be dropped from a part the query maps
+    into.  Only an atom with a mobile variable and another atom of its
+    predicate can be dropped, so a query in which no predicate repeats
+    is its own core.  A query of over ``CORE_ATOMS`` atoms is kept as
+    written."""
+    predicates = [a.predicate for a in atoms]
+    if len(atoms) > CORE_ATOMS or len(set(predicates)) == len(predicates):
+        return atoms
+    fixed = {Variable(name) for name in outputs}
+    core = list(dict.fromkeys(atoms))
+    for atom in core[::-1]:
+        rest = [a for a in core if a != atom]
+        if (
+            any(isinstance(t, Variable) and t not in fixed for t in atom.terms)
+            and any(a.predicate == atom.predicate for a in rest)
+            and _maps_into(core, rest, fixed) is not None
+        ):
+            core = rest
+    return tuple(core)
+
+
+@lru_cache(maxsize=1024)
+def compile_query(
+    atoms: tuple[Atom, ...], outputs: tuple[str, ...]
+) -> tuple[BodyPlan, tuple[tuple[str, Term], ...]]:
+    """The plan of the query's core, and the retraction onto the core:
+    each written variable the core dropped, by name, with its image, a
+    core variable or a constant.  The retraction fixes every variable of
+    the core, the outputs among them."""
+    core = query_core(atoms, outputs)
+    kept = {v for a in core for v in a.variables()}
+    dropped = {v for a in atoms for v in a.variables()} - kept
+    retraction = _maps_into(atoms, core, kept) if dropped else {}
+    return compile_body(core), tuple((v.name, t) for v, t in sorted(retraction.items()))
 
 
 def fire_trigger(head: Iterable[Atom], instance: Instance) -> list[Atom]:

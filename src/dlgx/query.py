@@ -16,7 +16,7 @@ from .chase import (
     FIXPOINT,
     ChaseRun,
     ChaseVariant,
-    compile_body,
+    compile_query,
     ichase,
     oblivious,
     pchase_r,
@@ -28,6 +28,7 @@ from .model import (
     Program,
     Query,
     Term,
+    Variable,
     format_term,
     term_sort_key,
 )
@@ -74,15 +75,24 @@ class Answer:
 def evaluate_query(query: Query, instance: Instance) -> Answer:
     """Evaluate against a fixed instance.
 
+    The query runs as its core (:func:`dlgx.chase.compile_query`): the
+    atoms that fold onto others, with the outputs and constants fixed,
+    are dropped, which leaves every answer as it is.  A true Boolean
+    query's witness is the first match of the core, extended to every
+    written variable through the retraction onto the core.
+
     A query predicate with no fact makes the query false, with no warning:
     only :func:`dlgx.parser.parse_query` warns, into its ``diagnostics``.
     """
-    plan = compile_body(query.atoms)
+    plan, retraction = compile_query(query.atoms, query.output_vars)
     if query.is_boolean:
         found = plan.evaluate(instance, limit=1)
         if not found:
             return Answer(verdict=False)
-        return Answer(verdict=True, witness=dict(zip(plan.slots, found.pop())))
+        witness = dict(zip(plan.slots, found.pop()))
+        for name, t in retraction:  # the written variables the core dropped
+            witness[name] = witness[t.name] if isinstance(t, Variable) else t
+        return Answer(verdict=True, witness=witness)
     # stable sorts from the last column to the first leave the rows in term
     # order, column by column; a column of constants sorts as plain str,
     # and only a column that holds a null needs a term_sort_key per row
@@ -120,10 +130,12 @@ def answer_with_variant(
 ) -> tuple[Answer, ChaseRun]:
     """Chase, then answer.
 
-    A Boolean query is checked after every level, on the matches that use
-    a fact the level added (the query is compiled like a rule body), and
+    A Boolean query is checked after every level, on the matches of its
+    core (compiled like a rule body) that use a fact the level added, and
     the run stops with status ``query-satisfied`` at the first level where
-    it holds, and answers false if it reaches a fixpoint.  An answer-set
+    it holds, and answers false if it reaches a fixpoint.  The check sees
+    the input facts and then every level that added a fact, so it first
+    holds at the level where the written query first holds.  An answer-set
     query chases to a fixpoint or to the step budget.  Every other answer,
     with its witness or its rows, comes from evaluating the query once on
     the instance the run ended with.
@@ -134,7 +146,7 @@ def answer_with_variant(
     """
     on_level = None  # an answer-set query chases to the end
     if query.is_boolean:
-        plan = compile_body(query.atoms)
+        plan = compile_query(query.atoms, ())[0]
         predicates = {a.predicate for a in query.atoms}
 
         def on_level(instance: Instance, new_facts: dict[str, Collection[Atom]]) -> bool:

@@ -7,7 +7,17 @@ import jsonschema
 import pytest
 
 import dlgx.chase
-from dlgx.chase import ichase, oblivious, pchase, pchase_r, run_chase
+from dlgx.benchgen import ScenarioSpec, generate_doctors_like, generate_psc
+from dlgx.chase import (
+    compile_body,
+    compile_query,
+    ichase,
+    oblivious,
+    pchase,
+    pchase_r,
+    query_core,
+    run_chase,
+)
 from dlgx.generator import generate_random_program, generate_random_query
 from dlgx.model import Atom, Instance, Null, Variable
 from dlgx.parser import parse_program, parse_query
@@ -21,6 +31,7 @@ from dlgx.query import (
 )
 
 import reference_matcher as reference
+from test_query_answers import protected_pairs
 
 TWO_PATH = """\
 n(a).
@@ -84,15 +95,20 @@ class TestEvaluateQuery:
     def test_witness_actually_satisfies_the_query(self):
         program = parse_program(TWO_PATH)
         run = run_chase(program, ichase())
-        query = q("?- e(X, Y), n(Y).", program)
-        ans = evaluate_query(query, run.result)
-        assert ans.verdict
-        for atom in query.atoms:
-            image = tuple(
-                ans.witness[t.name] if isinstance(t, Variable) else t
-                for t in atom.terms
-            )
-            assert Atom(atom.predicate, image) in run.result
+        # the second query runs as its core e(X, Y): Z is bound through the
+        # retraction onto the core, not by a match of its own atom
+        folded = q("?- e(X, Y), e(X, Z).", program)
+        assert query_core(folded.atoms, ()) == folded.atoms[:1]
+        for query in (q("?- e(X, Y), n(Y).", program), folded):
+            ans = evaluate_query(query, run.result)
+            assert ans.verdict
+            assert set(ans.witness) == {v.name for a in query.atoms for v in a.variables()}
+            for atom in query.atoms:
+                image = tuple(
+                    ans.witness[t.name] if isinstance(t, Variable) else t
+                    for t in atom.terms
+                )
+                assert Atom(atom.predicate, image) in run.result
 
     def test_unknown_predicate_warns_and_answers_false(self):
         # parse_query warns about the unknown predicate, once, with its
@@ -231,6 +247,135 @@ class TestEvaluateQuery:
                         projected += 1
                 checked += 1
         assert checked == 400 and true > 100 and projected > 400
+
+
+def variable_names(query: Query) -> tuple[str, ...]:
+    """The query's variables in the order they first occur."""
+    return tuple(dict.fromkeys(v.name for a in query.atoms for v in a.variables()))
+
+
+def mobile_except(outputs):
+    """The reference matcher's mobile terms for a core: every variable
+    but the outputs."""
+    return lambda t: isinstance(t, Variable) and t.name not in outputs
+
+
+class TestQueryCore:
+    def test_the_core_is_minimal_idempotent_and_keeps_every_predicate(self):
+        """Generator seeds 0-199 and criterion 4's queries, each as a Boolean
+        query, with every variable as an output and with each proper prefix
+        of the variables, checked against the naive reference matcher."""
+        queries = [
+            generate_random_query(generate_random_program(seed), (seed + 1) * 31 + 7)
+            for seed in range(200)
+        ]
+        queries += [query for _, _, query in protected_pairs()]
+        checked = folded = 0
+        for query in queries:
+            names = variable_names(query)
+            for outputs in dict.fromkeys(((), names, *(names[:k] for k in range(1, len(names))))):
+                core = query_core(query.atoms, outputs)
+                mobile = mobile_except(outputs)
+                context = (str(Query(query.atoms)), outputs)
+                assert set(core) <= set(query.atoms), context
+                # the query maps into its core, so the two are equivalent
+                assert reference.homomorphisms(query.atoms, core, mobile), context
+                # and no atom of the core can be dropped
+                for atom in core:
+                    rest = [a for a in core if a != atom]
+                    assert not reference.homomorphisms(core, rest, mobile), (*context, atom)
+                assert query_core(core, outputs) == core, context
+                # the retraction sends the query onto its core; it names only
+                # the variables the core dropped, and fixes the others
+                plan, retraction = compile_query(query.atoms, outputs)
+                assert plan is compile_body(core), context
+                mapping = {Variable(name): t for name, t in retraction}
+                assert set(reference.image(query.atoms, mapping)) <= set(core), context
+                dropped = set(variable_names(query)) - set(plan.slots)
+                assert {v.name for v in mapping} == dropped, context
+                assert {a.predicate for a in core} == {a.predicate for a in query.atoms}, context
+                checked += 1
+                folded += len(core) < len(query.atoms)
+        assert checked > 1900 and folded > 340
+
+    def test_named_queries_fold_as_expected(self):
+        # doctors' batch query: Q folds onto P and E onto D
+        doctors = q("?- case_at(P, D, H), case_at(Q, E, H).").atoms
+        assert query_core(doctors, ("P", "D")) == doctors[:1]
+        plan, retraction = compile_query(doctors, ("P", "D"))
+        assert plan is compile_body(doctors[:1])
+        assert retraction == (("E", Variable("D")), ("Q", Variable("P")))
+        # psc's batch query: the second filing folds onto the first
+        psc = q("?- person(p69), filing(p69, N, C), filing(p69, N, D).").atoms
+        assert query_core(psc, ("C",)) == psc[:2]
+        assert dict(compile_query(psc, ("C",))[1])["D"] == Variable("C")
+        # with both persons as outputs, neither filing folds
+        whole = q("?- filing(P, N, C), filing(Q, N, D).").atoms
+        assert query_core(whole, ("P", "Q")) == whole
+        assert compile_query(whole, ("P", "Q"))[0] is compile_body(whole)
+        # an atom may fold onto a constant: X goes to a
+        constant = q("?- e(X), e(a).").atoms
+        assert query_core(constant, ()) == constant[1:]
+        assert compile_query(constant, ())[1] == (("X", "a"),)
+
+    def test_a_query_over_eight_atoms_runs_as_written(self):
+        # a path of seven edges is its own core; a repeated edge folds away
+        # in an 8-atom query and is kept in a 9-atom one
+        path = q("?- " + ", ".join(f"e(V{i}, V{i + 1})" for i in range(8)) + ".").atoms
+        eight = path[:7] + path[:1]
+        assert query_core(eight, ()) == path[:7]
+        nine = path + path[:1]
+        assert query_core(nine, ()) == nine
+        plan, retraction = compile_query(nine, ())
+        assert plan is compile_body(nine) and len(plan.joins) == 9
+        assert retraction == ()
+        instance = Instance.from_facts(Atom("e", (f"c{i}", f"c{i + 1}")) for i in range(10))
+        names = variable_names(Query(nine))
+        for outputs in ((), names, names[:3]):
+            answer = evaluate_query(Query(nine, outputs), instance)
+            if outputs:
+                assert answer.tuples == reference.answers(nine, outputs, instance)
+            else:
+                mapping = {Variable(n): t for n, t in answer.witness.items()}
+                assert set(reference.image(nine, mapping)) <= set(instance)
+
+    def test_answers_on_benchgen_scenarios_match_the_reference(self):
+        """Seed-0 psc and doctors programs with 40 entities: every stock
+        query, and the named queries that repeat a predicate (two of them
+        fold), by rows and order."""
+        psc = generate_psc(ScenarioSpec("psc", persons=40, companies=40, seed=0))
+        doctors = generate_doctors_like(
+            ScenarioSpec("doctors-like", patients=40, doctors=8, seed=0)
+        )
+        repeated = {
+            "psc": [
+                Query(q("?- person(p1), filing(p1, N, C), filing(p1, N, D).").atoms, ("C",)),
+                Query(q("?- filing(P, N, C), filing(Q, N, D).").atoms, ("P", "Q")),
+            ],
+            "doctors-like": [
+                Query(q("?- case_at(P, D, H), case_at(Q, E, H).").atoms, ("P", "D")),
+            ],
+        }
+        checked = 0
+        for scenario in (psc, doctors):
+            queries = [*scenario.queries, *repeated[scenario.spec.name]]
+            for variant in (pchase_r(1), ichase()):
+                instance = run_chase(scenario.program, variant).result
+                for query in queries:
+                    names = variable_names(query)
+                    for outputs in dict.fromkeys((query.output_vars, names)):
+                        context = (scenario.spec.name, str(variant), outputs)
+                        answer = evaluate_query(Query(query.atoms, outputs), instance)
+                        expected = reference.answers(query.atoms, outputs, instance)
+                        assert expected, context
+                        if outputs:
+                            assert answer.tuples == expected, context
+                        else:
+                            mapping = {Variable(n): t for n, t in answer.witness.items()}
+                            image = reference.image(query.atoms, mapping)
+                            assert all(fact in instance for fact in image), context
+                        checked += 1
+        assert checked == 2 * (5 + 16)  # two variants; psc 5 output sets, doctors 16
 
 
 def test_default_resumptions_is_atom_count():
@@ -385,6 +530,33 @@ class TestEarlyStop:
             for variant in (pchase_r(2), ichase(2)):
                 answer_with_variant(program, query, variant, max_steps=2000)
         assert len(levels) > 800 and sum(levels) > 100
+
+    def test_a_folded_query_stops_where_its_written_plan_stops(self):
+        """On criterion 4's pairs whose Boolean query folds, the level check
+        on the core ends every run as the written query's check would:
+        ``on_level`` sees the input facts and then every level that added a
+        fact, so both first hold at the first level where the query holds."""
+        checked = 0
+        for seed, program, query in protected_pairs():
+            if len(query_core(query.atoms, ())) == len(query.atoms):
+                continue
+            written = compile_body(query.atoms)
+
+            def on_level(instance, new_facts):
+                return bool(written.matches(instance, new_facts, limit=1))
+
+            k = default_resumptions(query)
+            for variant in (pchase(), pchase_r(k), ichase(), ichase(k), oblivious()):
+                answer, _ = answer_with_variant(program, query, variant, max_steps=10_000)
+                run = run_chase(program, variant, max_steps=10_000, on_level=on_level)
+                verdict = run.status == "query-satisfied" or (
+                    run.status != "fixpoint" and bool(written.evaluate(run.result, limit=1))
+                )
+                assert (
+                    answer.verdict, answer.chase_status, answer.chase_steps, answer.resumptions_used
+                ) == (verdict, run.status, run.fired_steps, run.resumptions_used), (seed, str(variant))
+                checked += 1
+        assert checked == 5 * 120
 
 
 class TestDifferentialBcqa:

@@ -157,13 +157,15 @@ def parse_variant(name: str, resumptions: Optional[int] = None) -> ChaseVariant:
 # slot.
 
 # One step of a join: (predicate, keys, binds, checks).
-#   keys    (position, slot, constant) for each position fixed before the
+#   keys    (column, slot, constant) for each position fixed before the
 #           step is reached, by a rigid term (slot None) or by a bound
 #           slot; the shortest index row among them gives the candidates
-#   binds   (position, slot) for the first occurrence of a slot
-#   checks  (position, slot, constant) the candidates must also match: a
+#   binds   (index, slot) for the first occurrence of a slot
+#   checks  (index, slot, constant) the candidates must also match: a
 #           repeat of a slot bound in the same atom, and every key when
 #           there are several or the step is a pivot
+# A key's column counts terms from 0, as ``Instance.index`` does; binds
+# and checks index the flat fact ``(predicate, *terms)``, one further on.
 Step = tuple[str, tuple, tuple, tuple]
 Join = tuple[Step, ...]
 _ALL = sys.maxsize  # no limit on the number of matches
@@ -288,12 +290,12 @@ def _compile_step(predicate: str, codes: tuple, bound: set[int], pivot: bool) ->
         elif code in bound:
             keys.append((pos, code, None))
         elif any(s == code for _, s in binds):
-            checks.append((pos, code, None))
+            checks.append((pos + 1, code, None))
         else:
-            binds.append((pos, code))
+            binds.append((pos + 1, code))
     bound.update(s for _, s in binds)
     if pivot or len(keys) > 1:
-        checks.extend(keys)
+        checks.extend((pos + 1, slot, const) for pos, slot, const in keys)
     return (predicate, tuple(keys), tuple(binds), tuple(checks))
 
 
@@ -357,18 +359,22 @@ def compile_rule(rule: Rule) -> RulePlan:
 
 def _rows(step: Step, values: list, instance: Instance) -> Collection[Atom]:
     """Candidate facts for a join step: the shortest row its keys select
-    in its predicate's columns, a tuple or a list, or its predicate's
-    table when no key fixes it.  The columns are looked up once, and
-    each key reads its column with the term alone."""
+    in its predicate's columns, or its predicate's table when no key
+    fixes it.  A row of one fact is the fact itself; it is the shortest
+    row there can be, so it comes back at once, in a 1-tuple.  The
+    columns are looked up once, and each key reads its column with the
+    term alone."""
     predicate, keys = step[0], step[1]
     columns = instance.index.get(predicate)
     if columns is None:
-        return []
-    rows: Optional[Collection[Atom]] = None
+        return ()
+    rows: Optional[list[Atom]] = None
     for pos, slot, const in keys:
         row = columns[pos].get(const if slot is None else values[slot])
         if row is None:
-            return []
+            return ()
+        if row.__class__ is not list:
+            return (row,)
         if rows is None or len(row) < len(rows):
             rows = row
     return instance.facts_for(predicate) if rows is None else rows
@@ -390,12 +396,11 @@ def _extend(
     binds, checks = steps[k][2], steps[k][3]
     last = k + 1 == len(steps)
     for fact in rows:
-        terms = fact.terms
-        for pos, slot in binds:
-            values[slot] = terms[pos]
-        for pos, slot, const in checks:
+        for i, slot in binds:
+            values[slot] = fact[i]
+        for i, slot, const in checks:
             want = const if slot is None else values[slot]
-            t = terms[pos]
+            t = fact[i]
             if t is not want and t != want:
                 break
         else:
@@ -738,11 +743,10 @@ class CompiledProgram:
     @classmethod
     def of(cls, program: Program) -> "CompiledProgram":
         plans = tuple(sorted(map(compile_rule, program.rules), key=lambda p: p.rule_id))
-        return cls(
-            plans,
-            TermRank(chain(*(f.terms for f in program.facts), *(p.constants for p in plans))),
-            Instance.from_facts(program.facts),
-        )
+        base = Instance.from_facts(program.facts)
+        # every term of a fact is a key of the base's column for its position
+        columns = chain.from_iterable(base.index.values())
+        return cls(plans, TermRank(chain(*columns, *(p.constants for p in plans))), base)
 
 
 @dataclass

@@ -6,19 +6,20 @@ nulls.  Nulls carry the resumption epoch they were created in; an
 are "frozen": they behave like constants in homomorphism checks while
 still printing as nulls.
 
-Variables, nulls, atoms, positions and existential-variable ids are named
-tuples: they compare and hash as the tuple of their fields, in C, so
-``Null(1, 0) == (1, 0)``.  Tuple order is not term order (nulls would
-order by counter before epoch, and mixed kinds do not compare), so terms
-sort only by :func:`term_sort_key`.
+Variables, nulls, positions and existential-variable ids are named
+tuples, and an atom is a flat tuple ``(predicate, *terms)``: each compares
+and hashes as that tuple, in C, so ``Null(1, 0) == (1, 0)`` and
+``Atom("p", ["a"]) == ("p", "a")``.  Tuple order is not term order (nulls
+would order by counter before epoch, and mixed kinds do not compare), so
+terms sort only by :func:`term_sort_key`.
 """
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence, Union
 
 if TYPE_CHECKING:
@@ -67,33 +68,43 @@ def format_term(term: Term) -> str:
     return term.name
 
 
-class Atom(namedtuple("Atom", "predicate terms")):
-    """A predicate applied to a tuple of terms.
+class Atom(tuple):
+    """A predicate applied to one or more terms, laid out flat as
+    ``(predicate, *terms)``.
 
-    A named tuple, so it compares and hashes as ``(predicate, terms)``;
-    terms sort only by :func:`term_sort_key`.  A ground atom over
-    constants and nulls doubles as a fact.
+    It compares and hashes as that tuple, so ``len(atom)`` is its arity
+    plus one and ``atom[i]`` is its i-th term, 1-based.  ``terms`` is
+    sliced off when read; terms sort only by :func:`term_sort_key`.  A
+    ground atom over constants and nulls doubles as a fact.
     """
 
     __slots__ = ()
 
     def __new__(cls, predicate: str, terms: Iterable[Term]) -> "Atom":
-        terms = tuple(terms)
-        if not terms:
+        atom = tuple.__new__(cls, (predicate, *terms))
+        if len(atom) == 1:
             raise ValueError(f"atom {predicate} needs at least one term")
-        return tuple.__new__(cls, (predicate, terms))
+        return atom
+
+    def __getnewargs__(self) -> tuple[str, tuple[Term, ...]]:
+        return self[0], self[1:]
+
+    predicate = property(itemgetter(0), doc="The predicate name.")
+    terms = property(itemgetter(slice(1, None)), doc="The terms, as a new tuple.")
 
     @property
     def arity(self) -> int:
-        return len(self.terms)
+        return len(self) - 1
 
+    # the predicate is a str, never a variable or a null, so these read
+    # the atom whole and slice nothing off
     def variables(self) -> Iterator[Variable]:
-        for t in self.terms:
+        for t in self:
             if isinstance(t, Variable):
                 yield t
 
     def nulls(self) -> Iterator[Null]:
-        for t in self.terms:
+        for t in self:
             if isinstance(t, Null):
                 yield t
 
@@ -179,9 +190,12 @@ class Program:
     facts: tuple[Atom, ...] = ()
 
     def __post_init__(self) -> None:
-        for fact in self.facts:
-            if not all(isinstance(t, str) for t in fact.terms):
-                raise ValueError(f"fact {format_atom(fact)} must contain constants only")
+        # a fact's predicate is a str too, so one pass in C over the flat
+        # facts clears them all; the loop only words the error
+        if not set(map(type, chain.from_iterable(self.facts))) <= {str}:
+            for fact in self.facts:
+                if not all(isinstance(t, str) for t in fact.terms):
+                    raise ValueError(f"fact {format_atom(fact)} must contain constants only")
         self.schema  # force arity validation
 
     @cached_property
@@ -189,14 +203,19 @@ class Program:
         """Predicate -> arity, validated for consistency.  Computed once
         and shared by every caller, so callers must not change it."""
         schema: dict[str, int] = {}
-        for atom in self._all_atoms():
-            seen = schema.get(atom.predicate)
+        # the rules' atoms, then each distinct (predicate, length) of the
+        # facts in order of first use, which meets a clash at the first
+        # fact that has one
+        sizes = chain(
+            ((a.predicate, len(a)) for rule in self.rules for a in (*rule.body, *rule.head)),
+            dict.fromkeys(zip(map(itemgetter(0), self.facts), map(len, self.facts))),
+        )
+        for predicate, size in sizes:
+            seen = schema.get(predicate)
             if seen is None:
-                schema[atom.predicate] = atom.arity
-            elif seen != atom.arity:
-                raise SchemaError(
-                    f"predicate {atom.predicate} used with arities {seen} and {atom.arity}"
-                )
+                schema[predicate] = size - 1
+            elif seen != size - 1:
+                raise SchemaError(f"predicate {predicate} used with arities {seen} and {size - 1}")
         return schema
 
     @cached_property
@@ -208,12 +227,6 @@ class Program:
         from .chase import CompiledProgram  # chase imports this module
 
         return CompiledProgram.of(self)
-
-    def _all_atoms(self) -> Iterator[Atom]:
-        for rule in self.rules:
-            yield from rule.body
-            yield from rule.head
-        yield from self.facts
 
     def with_facts(self, extra: Iterable[Atom]) -> "Program":
         return Program(rules=self.rules, facts=self.facts + tuple(extra))
@@ -253,10 +266,11 @@ class Instance:
 
     ``index[predicate]`` holds one dict per position of the predicate,
     mapping each term there to its row: the facts with that term at that
-    position, in insertion order.  A row of one fact is a 1-tuple, shared
-    by every position the fact adds a row at; the row becomes a list at
-    its second fact.  So a term that holds one fact's place costs one dict
-    entry and no list.
+    position, in insertion order.  A row of one fact is that fact itself,
+    the key of its table; the row becomes a list at its second fact.  So
+    a term that holds one fact's place costs one dict entry and no
+    object of its own.  A row's column gives its term's position: the
+    first column is the fact's first term, ``fact[1]``.
 
     A chase run's instance is a :meth:`fork` of the program's base
     instance, sharing each predicate's table, columns and rows until
@@ -271,7 +285,7 @@ class Instance:
         self._tables: dict[str, dict[Atom, None]] = {}
         # predicate -> one dict per 0-based position, term -> row; only
         # add and _unshare write it, and compiled joins read it (_rows)
-        self.index: dict[str, tuple[dict[Term, Union[tuple[Atom], list[Atom]]], ...]] = {}
+        self.index: dict[str, tuple[dict[Term, Union[Atom, list[Atom]]], ...]] = {}
         self.active_epoch: int = 0
         # predicates whose table and rows another instance may hold too;
         # the first add of one copies them (see fork)
@@ -299,31 +313,31 @@ class Instance:
 
     def add(self, fact: Atom) -> bool:
         """Insert a fact; returns False if it was already present."""
-        predicate = fact.predicate
+        predicate = fact[0]
         table = self._tables.get(predicate)
         if table is None:
             table = self._tables[predicate] = {}
-            self.index[predicate] = tuple({} for _ in fact.terms)
+            self.index[predicate] = tuple({} for _ in range(1, len(fact)))
         elif fact in table:
             return False
         elif predicate in self._shared:
             table = self._unshare(predicate)
         table[fact] = None
-        single = (fact,)
-        for column, t in zip(self.index[predicate], fact.terms):
+        for i, column in enumerate(self.index[predicate], 1):
+            t = fact[i]
             row = column.get(t)
             if row is None:
-                column[t] = single
-            elif row.__class__ is tuple:
-                column[t] = [row[0], fact]
-            else:
+                column[t] = fact
+            elif row.__class__ is list:
                 row.append(fact)
+            else:
+                column[t] = [row, fact]
         return True
 
     def _unshare(self, predicate: str) -> dict[Atom, None]:
         """Give this instance its own copy of ``predicate``'s table and
-        columns, and return the table.  The 1-tuple rows stay shared, since
-        no add changes a tuple; only the list rows are copied."""
+        columns, and return the table.  The one-fact rows stay shared,
+        since no add changes a fact; only the list rows are copied."""
         self._shared.discard(predicate)
         table = self._tables[predicate] = self._tables[predicate].copy()
         columns = tuple(column.copy() for column in self.index[predicate])

@@ -238,19 +238,21 @@ def parse_program(text: str, filename: str = "<input>") -> Program:
     arities = parser.arities
     facts: list[Atom] = []
     rules: list[Rule] = []
-    scan, words, intern = _FACT.match, _WORD.findall, sys.intern
+    scan, words, intern, new = _FACT.match, _WORD.findall, sys.intern, tuple.__new__
     while True:
         # the fact scan, one match per statement, until a statement it cannot read
         pos = parser.end
         while (m := scan(text, pos)) is not None:
-            name, args = m.groups()
-            terms = tuple(map(intern, words(args)))
-            seen = arities.get(name)
+            # only blanks, '(' and ',' part the predicate and its terms, so
+            # the words from one to the other are the fact, laid out flat
+            start = m.start(1)
+            fact = new(Atom, map(intern, words(text, start, m.end(2))))
+            seen = arities.get(fact[0])
             if seen is None:
-                arities[name] = (len(terms), m.start(1))
-            elif seen[0] != len(terms):
+                arities[fact[0]] = (len(fact) - 1, start)
+            elif seen[0] != len(fact) - 1:
                 break  # the token reader reports the clash
-            facts.append(Atom(name, terms))
+            facts.append(fact)
             pos = m.end()
         # the token reader, for that one statement
         parser.read(pos, statement=True)

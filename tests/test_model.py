@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 from pathlib import Path
 
@@ -80,6 +82,42 @@ def test_atom_requires_terms():
         Atom("p", [])
 
 
+def test_an_atoms_surface_is_its_predicate_terms_and_arity():
+    terms = ["a", Variable("X"), Null(2, 1)]
+    atom = Atom("p", terms)
+    assert atom.predicate == "p"
+    assert atom.terms == ("a", Variable("X"), Null(2, 1))
+    assert type(atom.terms) is tuple
+    assert atom.arity == 3
+    assert str(atom) == "p(a, X, _:e1n2)"
+    assert repr(atom) == "Atom(p(a, X, _:e1n2))"
+    twin = Atom("p", tuple(terms))
+    assert twin is not atom and twin == atom and hash(twin) == hash(atom)
+    assert Atom("p", ["a", Variable("X")]) != atom != Atom("q", terms)
+    # laid out flat: the predicate, then each term
+    assert tuple(atom) == ("p", "a", Variable("X"), Null(2, 1))
+    assert len(atom) == atom.arity + 1 and atom[1] == "a"
+    copies = [copy.copy(atom), copy.deepcopy(atom)]
+    copies += [pickle.loads(pickle.dumps(atom, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for copied in copies:
+        assert type(copied) is Atom
+        assert copied == atom and copied.terms == atom.terms and str(copied) == str(atom)
+    with pytest.raises(ValueError):
+        Atom("p", [])
+
+
+def test_facts_a_chase_derives_are_flat_atoms():
+    program = parse_program(PSC_CHAIN.read_text(encoding="utf-8"))
+    for variant in (pchase_r(1), ichase()):
+        run = run_chase(program, variant)
+        assert len(run.result) > len(program.facts)
+        assert any(isinstance(t, Null) for fact in run.result for t in fact.terms)
+        for fact in run.result:
+            assert type(fact) is Atom
+            assert len(fact) == fact.arity + 1
+            assert fact == (fact.predicate, *fact.terms)
+
+
 def test_position_is_one_based():
     assert str(Position("p", 2)) == "p[2]"
 
@@ -152,8 +190,9 @@ def e(*terms):
 
 def assert_index_consistent(inst):
     """Each row of ``inst.index`` holds the facts of its predicate with its
-    term at its position, in insertion order, and is a tuple exactly when
-    it holds one fact.  The instance iterates predicate by predicate."""
+    term at its position, in insertion order: a row of one fact is that
+    fact itself, the very object its table holds, and a longer row is a
+    list.  The instance iterates predicate by predicate."""
     predicates = list(dict.fromkeys(f.predicate for f in inst))
     assert list(inst.index) == predicates
     assert list(inst) == [f for p in predicates for f in inst.facts_for(p)]
@@ -168,9 +207,11 @@ def assert_index_consistent(inst):
                 expected.setdefault(f.terms[pos], []).append(f)
             assert list(column) == list(expected)
             for term, row in column.items():
-                assert list(row) == expected[term]
-                assert isinstance(row, tuple) == (len(row) == 1)
-                assert isinstance(row, (tuple, list))
+                if len(expected[term]) == 1:
+                    assert row is expected[term][0]
+                else:
+                    assert row.__class__ is list
+                    assert row == expected[term]
 
 
 class TestFork:
@@ -193,21 +234,30 @@ class TestFork:
         assert "b" not in base.index["e"][0] and "d" not in fork.index["e"][1]
         assert "g" not in base.index and list(fork.facts_for("g")) == [g_x]
         assert list(fork.facts_for("f")) == [f_a]
+        # both sides copied the columns of e and the base those of f, and
+        # the one-fact rows they hold are still the facts both share
+        assert base.index["e"][1]["b"] is fork.index["e"][1]["b"] == e("a", "b")
+        assert base.index["f"][0]["a"] is fork.index["f"][0]["a"] == f_a
         for inst in (base, fork):
             assert_index_consistent(inst)
 
     def test_a_shared_single_fact_row_promoted_by_the_fork_stays_single_in_the_base(self):
-        base = Instance.from_facts([e("a", "b")])
+        # a one-fact row is the fact itself, shared by its positions and
+        # by base and fork
+        ab, ac, ad = e("a", "b"), e("a", "c"), e("a", "d")
+        base = Instance.from_facts([ab])
         fork = base.fork()
-        assert base.index["e"][0]["a"] is fork.index["e"][0]["a"] == (e("a", "b"),)
-        fork.add(e("a", "c"))
-        assert fork.index["e"][0]["a"] == [e("a", "b"), e("a", "c")]
-        assert base.index["e"][0]["a"] == (e("a", "b"),)
-        base.add(e("a", "d"))
-        assert base.index["e"][0]["a"] == [e("a", "b"), e("a", "d")]
-        assert fork.index["e"][0]["a"] == [e("a", "b"), e("a", "c")]
-        assert base.index["e"][1] == {"b": (e("a", "b"),), "d": (e("a", "d"),)}
-        assert fork.index["e"][1] == {"b": (e("a", "b"),), "c": (e("a", "c"),)}
+        assert base.index["e"][0]["a"] is fork.index["e"][0]["a"] is ab
+        assert base.index["e"][1]["b"] is fork.index["e"][1]["b"] is ab
+        fork.add(ac)
+        assert fork.index["e"][0]["a"] == [ab, ac]
+        assert base.index["e"][0]["a"] is ab
+        base.add(ad)
+        assert base.index["e"][0]["a"] == [ab, ad]
+        assert fork.index["e"][0]["a"] == [ab, ac]
+        assert base.index["e"][1] == {"b": ab, "d": ad}
+        assert fork.index["e"][1] == {"b": ab, "c": ac}
+        assert base.index["e"][1]["b"] is fork.index["e"][1]["b"] is ab
         for inst in (base, fork):
             assert_index_consistent(inst)
 
@@ -262,6 +312,7 @@ def test_run_indexes_are_consistent_and_leave_the_base_unchanged():
             run = run_chase(program, variant, max_steps=300)
             assert_index_consistent(run.result)
             base = program.compiled.base
+            assert_index_consistent(base)
             fresh = Instance.from_facts(program.facts)
             assert list(base) == list(fresh), (name, str(variant))
             assert base.index == fresh.index, (name, str(variant))
